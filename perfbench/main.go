@@ -227,6 +227,9 @@ func run(o options) (*result, map[string]interface{}, error) {
 		"samples":     e.samples,
 		"provenance":  e.provenance(),
 	}
+	if v, ok := e.metrics["server.result_cache_hit_ratio"]; ok {
+		info["result_cache_hit_ratio"] = v // what the serve self-checks judged
+	}
 	return res, info, nil
 }
 

@@ -34,6 +34,8 @@ var corpusDir = filepath.Join("internal", "reldb", "testdata", "fuzz", "FuzzPars
 const (
 	// pointSQL is the per-AS location lookup (one ASN per request).
 	pointSQL = `SELECT metro, state_province, country FROM asn_loc WHERE asn = %d`
+	// countriesSQL asks which countries one AS is present in.
+	countriesSQL = `SELECT DISTINCT country FROM asn_loc WHERE asn = %d`
 	// countrySQL is the paper's Table 2 country-presence join with a
 	// per-request country filter.
 	countrySQL = `SELECT l.asn, MIN(n.asn_name) AS name, MIN(o.organization) AS org,
@@ -521,8 +523,8 @@ var footprintSQL = []string{
 		 WHERE asn = %d ORDER BY country, metro`,
 }
 
-// lookupMix builds serve-lookup: /footprint/{asn} and the asn_loc point
-// lookup over every named ASN, and the country join over every country
+// lookupMix builds serve-lookup: /footprint/{asn} and two asn_loc point
+// lookups over every named ASN, and the country join over every country
 // and LIMIT.
 func lookupMix(e *env) (*mix, error) {
 	asns, err := e.asnList()
@@ -532,7 +534,7 @@ func lookupMix(e *env) (*mix, error) {
 	var foot, point []*request
 	for _, asn := range asns {
 		asn := asn
-		point = append(point, e.sqlRequest(fmt.Sprintf(pointSQL, asn)))
+		point = append(point, e.sqlRequest(fmt.Sprintf(pointSQL, asn)), e.sqlRequest(fmt.Sprintf(countriesSQL, asn)))
 		foot = append(foot, &request{method: http.MethodGet, path: "/footprint/" + strconv.Itoa(asn),
 			check: func(status int, body []byte) error {
 				// The handler lists non-empty names and organizations.
