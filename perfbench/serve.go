@@ -129,7 +129,7 @@ func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64))
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	done := e.closedLoop(m, dur)
+	lat, at, elapsed := e.closedLoop(m, dur)
 	runtime.ReadMemStats(&m1)
 	after, err := e.scrapeMetrics()
 	if err != nil {
@@ -148,14 +148,12 @@ func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64))
 	e.metrics["server.result_cache_hit_ratio"] = hit
 	e.metrics["server.plan_cache_hit_ratio"] = ratio("igdb_plan_cache_hits_total", "igdb_plan_cache_misses_total")
 	hitCheck(hit)
-	w := windowed(done, time.Second)
-	e.metrics["ops_per_s"] = w.opsPerS
-	e.metrics["p50_ms"] = w.p50
-	e.metrics["p99_ms"] = w.p99
-	e.metrics["serve.alloc_kb_per_op"] = float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / float64(len(done))
+	e.metrics["ops_per_s"] = float64(len(lat)) / elapsed.Seconds()
+	e.metrics["p50_ms"] = windowedMedian(at, lat, time.Second)
+	e.metrics["p99_ms"] = percentile(lat, 0.99)
+	e.metrics["serve.alloc_kb_per_op"] = float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / float64(len(lat))
 	e.metrics["serve.gc_cycles"] = float64(m1.NumGC - m0.NumGC)
-	e.samples["windows"] = w.windows
-	e.samples["requests"] = len(done)
+	e.samples["requests"] = len(lat)
 	if err := e.sampleBuildAndSync(); err != nil {
 		return err
 	}
@@ -222,14 +220,16 @@ func do(client *http.Client, base string, r *request) (int, []byte, error) {
 
 // closedLoop drives the mix from serveClients clients, each on its own
 // connection, each sending its next request when the last reply is read.
-// It returns every request the clients completed. A transport error or a
-// non-2xx status fails the request.
-func (e *env) closedLoop(m *mix, dur time.Duration) []done {
+// It returns every client-observed latency in ms, when each request
+// completed (as an offset from the start), and the run's wall time. A
+// transport error or a non-2xx status fails the request.
+func (e *env) closedLoop(m *mix, dur time.Duration) ([]float64, []time.Duration, time.Duration) {
 	total := 0
 	for _, w := range m.weights {
 		total += w
 	}
-	out := make([][]done, serveClients)
+	out := make([][]float64, serveClients)
+	ends := make([][]time.Duration, serveClients)
 	fails := make([]int, serveClients)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -262,7 +262,8 @@ func (e *env) closedLoop(m *mix, dur time.Duration) []done {
 					ok = err == nil && resp.StatusCode >= 200 && resp.StatusCode <= 299
 				}
 				t1 := time.Now()
-				out[c] = append(out[c], done{at: t1.Sub(start), ms: ms(t1.Sub(t0))})
+				out[c] = append(out[c], ms(t1.Sub(t0)))
+				ends[c] = append(ends[c], t1.Sub(start))
 				if !ok {
 					fails[c]++
 				}
@@ -270,15 +271,18 @@ func (e *env) closedLoop(m *mix, dur time.Duration) []done {
 		}(c)
 	}
 	wg.Wait()
-	var all []done
+	elapsed := time.Since(start)
+	var all []float64
+	var at []time.Duration
 	for c := range out {
 		all = append(all, out[c]...)
+		at = append(at, ends[c]...)
 		e.attempted += len(out[c]) - fails[c]
 		for i := 0; i < fails[c]; i++ {
 			e.check(false, "a timed request failed")
 		}
 	}
-	return all
+	return all, at, elapsed
 }
 
 // scrapeMetrics reads the leader's /metrics counters.

@@ -76,53 +76,29 @@ func timeIt(f func()) time.Duration {
 	return time.Since(t0)
 }
 
-// done is one completed timed request: when it completed, as an offset
-// from the start of the run, and its latency in ms.
-type done struct {
-	at time.Duration
-	ms float64
-}
-
-// windowStats summarizes a run split into fixed windows by completion
-// time: the throughput over all windows, and the median over windows of
-// each window's p50 and p99. Medians over windows keep one disturbed
-// second from moving the latencies.
-type windowStats struct {
-	opsPerS, p50, p99 float64
-	windows           int
-}
-
-// windowed splits requests into windows of length w; a trailing partial
-// window is dropped unless it is the only one.
-func windowed(reqs []done, w time.Duration) windowStats {
+// windowedMedian splits a run's requests into windows of length w by
+// completion time and returns the median over whole windows of each
+// window's median latency, so a disturbed second moves it less than it
+// moves the run's overall median. With less than one whole window it is
+// the overall median.
+func windowedMedian(at []time.Duration, lat []float64, w time.Duration) float64 {
 	var last time.Duration
-	for _, r := range reqs {
-		if r.at > last {
-			last = r.at
-		}
+	for _, a := range at {
+		last = max(last, a)
 	}
 	n := int(last / w)
 	if n == 0 {
-		n = 1
-		w = last
+		return median(lat)
 	}
-	lat := make([][]float64, n)
-	for _, r := range reqs {
-		if i := int(r.at / w); i < n {
-			lat[i] = append(lat[i], r.ms)
+	byWindow := make([][]float64, n)
+	for i, a := range at {
+		if k := int(a / w); k < n {
+			byWindow[k] = append(byWindow[k], lat[i])
 		}
 	}
-	count := 0
-	var p50, p99 []float64
-	for _, l := range lat {
-		count += len(l)
-		p50 = append(p50, median(l))
-		p99 = append(p99, percentile(l, 0.99))
+	meds := make([]float64, 0, n)
+	for _, l := range byWindow {
+		meds = append(meds, median(l))
 	}
-	return windowStats{
-		opsPerS: float64(count) / (time.Duration(n) * w).Seconds(),
-		p50:     median(p50),
-		p99:     median(p99),
-		windows: n,
-	}
+	return median(meds)
 }
