@@ -13,9 +13,10 @@ set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 root=$(dirname "$here")
 out="$root/.bench_build"
-mkdir -p "$out"
+mkdir -p "$out/tmp"
 
 export GOCACHE="$out/gocache"
+export GOTMPDIR="$out/tmp"
 export GOMODCACHE="$out/gomodcache"
 export GOPATH="$out/gopath"
 export XDG_CONFIG_HOME="$out/config"
