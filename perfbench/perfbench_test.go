@@ -37,9 +37,9 @@ func loadSpec(t *testing.T) benchmarkSpec {
 	return spec
 }
 
-// TestSpecMatchesDriver pins BENCHMARK.json to the driver: the same
+// TestSpecMatchesCode pins BENCHMARK.json to this package: the same
 // workloads, and the same metric names with the same units, in order.
-func TestSpecMatchesDriver(t *testing.T) {
+func TestSpecMatchesCode(t *testing.T) {
 	spec := loadSpec(t)
 	var names []string
 	for _, w := range spec.Workloads {
@@ -52,11 +52,11 @@ func TestSpecMatchesDriver(t *testing.T) {
 	sort.Strings(names)
 	sort.Strings(have)
 	if len(names) != len(have) {
-		t.Fatalf("BENCHMARK.json workloads %v, driver %v", names, have)
+		t.Fatalf("BENCHMARK.json workloads %v, code %v", names, have)
 	}
 	for i := range names {
 		if names[i] != have[i] {
-			t.Fatalf("BENCHMARK.json workloads %v, driver %v", names, have)
+			t.Fatalf("BENCHMARK.json workloads %v, code %v", names, have)
 		}
 	}
 	for _, c := range []struct {
@@ -68,11 +68,11 @@ func TestSpecMatchesDriver(t *testing.T) {
 		defs []metricDef
 	}{{"end_to_end", spec.EndToEnd, endToEnd}, {"per_layer", spec.PerLayer, perLayer}} {
 		if len(c.spec) != len(c.defs) {
-			t.Fatalf("%s: BENCHMARK.json has %d metrics, driver %d", c.kind, len(c.spec), len(c.defs))
+			t.Fatalf("%s: BENCHMARK.json has %d metrics, code %d", c.kind, len(c.spec), len(c.defs))
 		}
 		for i, d := range c.defs {
 			if c.spec[i].Name != d.name || c.spec[i].Unit != d.unit {
-				t.Errorf("%s[%d]: BENCHMARK.json %s/%s, driver %s/%s", c.kind, i, c.spec[i].Name, c.spec[i].Unit, d.name, d.unit)
+				t.Errorf("%s[%d]: BENCHMARK.json %s/%s, code %s/%s", c.kind, i, c.spec[i].Name, c.spec[i].Unit, d.name, d.unit)
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds the benchmark driver from the sources in this checkout and runs it.
+# Builds the benchmark from the sources in this checkout and runs it.
 #
 #   bash perfbench/run.sh --workload <name> --seed <n> --seconds <s> --trace <0|1>
 #
