@@ -23,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 )
@@ -42,9 +43,9 @@ var endToEnd = []metricDef{
 	{"p99_ms", "ms"},
 }
 
-// buildStages maps build_trace span names to their per-layer metrics. The
-// self times of these spans, plus core.build_other_ms, add up to the
-// traced build's wall time.
+// buildStages maps build_trace span names to their per-layer metrics.
+// core.build_other_ms is the traced build's wall time these stages leave:
+// the schema and source_status spans, and work no span covers.
 var buildStages = []struct{ span, metric string }{
 	{"load/naturalearth", "core.load.naturalearth_ms"},
 	{"load/atlas", "core.load.atlas_ms"},
@@ -65,7 +66,8 @@ var buildStages = []struct{ span, metric string }{
 }
 
 // perLayer are the metrics every --trace 1 run prints, in every workload.
-// A metric a workload's run does not exercise reads 0.
+// A metric the workload lists as unmeasured reads 0; every other one must
+// be measured, and only a mayReadZero metric may measure 0.
 var perLayer = func() []metricDef {
 	defs := []metricDef{
 		{"worldgen.generate_s", "s"},
@@ -109,15 +111,33 @@ var perLayer = func() []metricDef {
 	)
 }()
 
-// workloads maps each workload name to its runner and default world size.
+// serveOnly are the per-layer metrics only a serve workload's timed run
+// measures.
+var serveOnly = []string{
+	"server.result_cache_hit_ratio",
+	"server.plan_cache_hit_ratio",
+	"serve.alloc_kb_per_op",
+	"serve.gc_cycles",
+}
+
+// mayReadZero are the metrics a run can measure as 0: in serve-lookup
+// nearly every request misses both caches.
+var mayReadZero = []string{
+	"server.result_cache_hit_ratio",
+	"server.plan_cache_hit_ratio",
+}
+
+// workloads maps each workload name to its runner, its world size, and the
+// per-layer metrics its traced run does not measure.
 var workloads = map[string]struct {
-	scale string
-	run   func(*env) error
+	scale      string
+	run        func(*env) error
+	unmeasured []string
 }{
-	"build-paper":  {"paper", runBuildPaper},
-	"serve-corpus": {"small", runServeCorpus},
-	"serve-lookup": {"small", runServeLookup},
-	"simulate":     {"small", runSimulate},
+	"build-paper":  {"paper", runBuildPaper, serveOnly},
+	"serve-corpus": {"small", runServeCorpus, nil},
+	"serve-lookup": {"small", runServeLookup, nil},
+	"simulate":     {"small", runSimulate, serveOnly},
 }
 
 type options struct {
@@ -125,7 +145,7 @@ type options struct {
 	seed     int64
 	seconds  float64
 	trace    bool
-	scale    string // tiny, small or paper; "" means the workload's own
+	scale    string // tiny, small or paper; "" means the workload's own (the smoke test sets tiny)
 	root     string // checkout root, where the SQL corpus is read
 }
 
@@ -150,7 +170,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "seed for the world, the request schedule and the scenarios")
 	flag.Float64Var(&o.seconds, "seconds", 10, "length of the timed run in seconds")
 	flag.IntVar(&trace, "trace", 0, "1 prints the per-layer metrics instead of the end-to-end ones")
-	flag.StringVar(&o.scale, "scale", "", "world size: tiny, small or paper (default: the workload's own)")
 	flag.Parse()
 	o.trace = trace == 1
 
@@ -210,9 +229,17 @@ func run(o options) (*result, map[string]interface{}, error) {
 		Metrics:   make(map[string]metric, len(defs)),
 	}
 	for _, d := range defs {
+		// A probe that stops recording, or records nothing, must not pass
+		// as a reading of 0.
 		v, ok := e.metrics[d.name]
-		if !ok && !o.trace {
+		unmeasured := slices.Contains(wl.unmeasured, d.name)
+		switch {
+		case ok && unmeasured:
+			return nil, nil, fmt.Errorf("workload %s measured %s, which it lists as unmeasured", o.workload, d.name)
+		case !ok && !unmeasured:
 			return nil, nil, fmt.Errorf("workload %s did not measure %s", o.workload, d.name)
+		case ok && v == 0 && !slices.Contains(mayReadZero, d.name):
+			return nil, nil, fmt.Errorf("workload %s measured %s as 0", o.workload, d.name)
 		}
 		res.Metrics[d.name] = metric{Value: v, Unit: d.unit}
 	}

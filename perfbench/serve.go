@@ -136,18 +136,16 @@ func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64))
 		return err
 	}
 
-	ratio := func(hits, misses string) float64 {
+	// A cache no request looked up leaves its ratio unmeasured.
+	ratio := func(metric, hits, misses string) {
 		h := after[hits] - before[hits]
-		n := h + after[misses] - before[misses]
-		if n == 0 {
-			return 0
+		if n := h + after[misses] - before[misses]; n > 0 {
+			e.metrics[metric] = h / n
 		}
-		return h / n
 	}
-	hit := ratio("igdb_result_cache_hits_total", "igdb_result_cache_misses_total")
-	e.metrics["server.result_cache_hit_ratio"] = hit
-	e.metrics["server.plan_cache_hit_ratio"] = ratio("igdb_plan_cache_hits_total", "igdb_plan_cache_misses_total")
-	hitCheck(hit)
+	ratio("server.result_cache_hit_ratio", "igdb_result_cache_hits_total", "igdb_result_cache_misses_total")
+	ratio("server.plan_cache_hit_ratio", "igdb_plan_cache_hits_total", "igdb_plan_cache_misses_total")
+	hitCheck(e.metrics["server.result_cache_hit_ratio"])
 	e.metrics["ops_per_s"] = float64(len(lat)) / elapsed.Seconds()
 	e.metrics["p50_ms"] = windowedMedian(at, lat, time.Second)
 	e.metrics["p99_ms"] = percentile(lat, 0.99)
@@ -529,7 +527,9 @@ var footprintSQL = []string{
 
 // lookupMix builds serve-lookup: /footprint/{asn} and two asn_loc point
 // lookups over every named ASN, and the country join over every country
-// and LIMIT.
+// and LIMIT. No traffic record weights these analyses against each other,
+// so every distinct request is equally likely: each class weighs as many
+// requests as it holds.
 func lookupMix(e *env) (*mix, error) {
 	asns, err := e.asnList()
 	if err != nil {
@@ -595,8 +595,8 @@ func lookupMix(e *env) (*mix, error) {
 		}
 	}
 	m := &mix{}
-	m.add(5, foot)
-	m.add(3, point)
-	m.add(1, country)
+	for _, reqs := range [][]*request{foot, point, country} {
+		m.add(len(reqs), reqs)
+	}
 	return m, nil
 }
