@@ -9,12 +9,18 @@ import (
 	"igdb/internal/obs"
 )
 
+// extraSyncs is how many follower syncs build-paper times after its
+// cycles. A run has room for only two or three cycles, and a sync is a
+// fifth of one, so these give replica_sync_s a median over more samples.
+const extraSyncs = 3
+
 // runBuildPaper is the build-paper workload. Set-up generates and collects
 // the paper-scale world, builds a leader server and syncs a first follower.
 // Each timed operation is one refresh cycle: an untraced core.Build of the
 // collected sources, then a fresh follower's sync from the leader.
-// build_s and replica_sync_s are the medians of the two halves; p50_ms,
-// p99_ms and ops_per_s describe whole cycles.
+// build_s is the median of the builds and replica_sync_s the median of the
+// cycles' syncs and extraSyncs more; p50_ms, p99_ms and ops_per_s describe
+// whole cycles.
 func runBuildPaper(e *env) error {
 	if err := e.setUp(1, nil); err != nil {
 		return err
@@ -33,12 +39,14 @@ func runBuildPaper(e *env) error {
 	var builds, syncs, cycles []float64
 	deadline := time.Now().Add(dur)
 	for first := true; first || time.Now().Before(deadline); first = false {
+		settle()
 		g, bd, err := e.untracedBuild()
 		if err != nil {
 			return err
 		}
 		e.checkBuild(g)
 		e.ref = g
+		settle()
 		f, sd, err := e.syncFollower()
 		if !e.check(err == nil, "follower sync: %v", err) {
 			continue
@@ -47,6 +55,15 @@ func runBuildPaper(e *env) error {
 		builds = append(builds, bd.Seconds())
 		syncs = append(syncs, sd.Seconds())
 		cycles = append(cycles, ms(bd+sd))
+	}
+	for i := 0; i < extraSyncs; i++ {
+		settle()
+		f, sd, err := e.syncFollower()
+		if !e.check(err == nil, "follower sync: %v", err) {
+			continue
+		}
+		e.checkFollower(f)
+		syncs = append(syncs, sd.Seconds())
 	}
 	total := 0.0
 	for _, c := range cycles {
@@ -58,6 +75,7 @@ func runBuildPaper(e *env) error {
 	e.metrics["p50_ms"] = median(cycles)
 	e.metrics["p99_ms"] = percentile(cycles, 0.99)
 	e.samples["cycles"] = len(cycles)
+	e.samples["syncs"] = len(syncs)
 	return nil
 }
 
@@ -88,6 +106,7 @@ func (e *env) probeBuilds(budget time.Duration, minPairs int) error {
 	for i := 0; i < minPairs || time.Now().Before(deadline); i++ {
 		var plain, traced time.Duration
 		for _, withTrace := range [2]bool{i%2 == 1, i%2 == 0} {
+			settle()
 			if !withTrace {
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)

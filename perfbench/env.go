@@ -20,7 +20,7 @@ import (
 )
 
 // collectedAt is the acquisition time stamped on every collected snapshot,
-// fixed so that the seed alone decides the inputs.
+// fixed so that every run collects the same sources.
 var collectedAt = time.Unix(1780000000, 0).UTC()
 
 // quiet discards server logs: they would interleave with the result.
@@ -28,14 +28,14 @@ func quiet(string, ...interface{}) {}
 
 // buildSampleTime is how long each of a small-scale workload's sampling
 // rounds spends on builds, and then on follower syncs.
-const buildSampleTime = 750 * time.Millisecond
+const buildSampleTime = time.Second
 
 // timingRelations hold wall-clock timings, so their contents differ from
 // build to build; content checks skip them.
 var timingRelations = map[string]bool{"build_trace": true, "source_status": true}
 
-// env is one run of one workload: the world made from the seed, the leader
-// server that serves it, and the run's checks and measurements.
+// env is one run of one workload: the world at the workload's scale, the
+// leader server that serves it, and the run's checks and measurements.
 type env struct {
 	o   options
 	cfg worldgen.Config
@@ -61,7 +61,7 @@ type env struct {
 }
 
 func newEnv(o options) (*env, error) {
-	cfg, err := worldConfig(o.scale, o.seed)
+	cfg, err := worldConfig(o.scale)
 	if err != nil {
 		return nil, err
 	}
@@ -77,25 +77,26 @@ func newEnv(o options) (*env, error) {
 // is the repository's test scale; tiny is small with fewer cities and
 // measurement targets, for the benchmark's own smoke test. tiny keeps
 // small's 3,000 ASNs so serve-lookup's key space still dwarfs the caches.
-func worldConfig(scale string, seed int64) (worldgen.Config, error) {
-	var cfg worldgen.Config
+// Every scale keeps worldgen's own seed, so each run of a workload builds
+// and serves the same database: which world a seed drew would otherwise
+// move build and request costs from run to run by a third of the bounds
+// or more.
+func worldConfig(scale string) (worldgen.Config, error) {
 	switch scale {
 	case "paper":
-		cfg = worldgen.DefaultConfig()
+		return worldgen.DefaultConfig(), nil
 	case "small":
-		cfg = worldgen.SmallConfig()
+		return worldgen.SmallConfig(), nil
 	case "tiny":
-		cfg = worldgen.SmallConfig()
+		cfg := worldgen.SmallConfig()
 		cfg.NumCities = 300
 		cfg.NumISPs = 150
 		cfg.NumAtlasNetworks = 80
 		cfg.NumAnchors = 40
 		cfg.TraceroutePairs = 150
-	default:
-		return cfg, fmt.Errorf("unknown scale %q (have tiny, small, paper)", scale)
+		return cfg, nil
 	}
-	cfg.Seed = seed
-	return cfg, nil
+	return worldgen.Config{}, fmt.Errorf("unknown scale %q (have tiny, small, paper)", scale)
 }
 
 // close stops the loopback listener; the servers themselves hold no
@@ -129,7 +130,7 @@ func (e *env) selfCheck(ok bool, format string, args ...interface{}) {
 	}
 }
 
-// setUp makes the workload's world from the seed and starts serving it:
+// setUp makes the workload's world and starts serving it:
 // generate the world, collect every source, build a leader server behind a
 // loopback listener, and sync a first follower from it. extra runs the
 // workload's own set-up steps, which count toward setup_s as well. The
@@ -317,6 +318,11 @@ func (e *env) checkReplica(reps int) error {
 	return nil
 }
 
+// settle collects garbage before a timed build or sync, so the op does not
+// pay for collecting what earlier ops left (a discarded build or follower
+// holds a whole snapshot), as it would not in a process of its own.
+func settle() { runtime.GC() }
+
 // untracedBuild runs one build with span recording off.
 func (e *env) untracedBuild() (*core.IGDB, time.Duration, error) {
 	t0 := time.Now()
@@ -324,14 +330,15 @@ func (e *env) untracedBuild() (*core.IGDB, time.Duration, error) {
 	return g, time.Since(t0), err
 }
 
-// sampleBuildAndSync adds samples to build_s and replica_sync_s for the
-// workloads whose timed run does neither: untraced builds, then follower
-// syncs, of the workload's own world, each checked, each kind for at least
-// 3 samples and buildSampleTime. The workloads call it before, between and
-// after their phases, so the medians cover the whole run rather than one
-// moment of it. The last build becomes ref.
+// sampleBuildAndSync adds samples to build_s and replica_sync_s for
+// serve-lookup, whose timed run does neither: untraced builds, then
+// follower syncs, of the workload's own world, each checked, each kind for
+// at least 3 samples and buildSampleTime. serve-lookup calls it before,
+// between and after its phases, so the medians cover the whole run rather
+// than one moment of it. The last build becomes ref.
 func (e *env) sampleBuildAndSync() error {
 	for deadline, n := time.Now().Add(buildSampleTime), 0; n < 3 || time.Now().Before(deadline); n++ {
+		settle()
 		g, d, err := e.untracedBuild()
 		if err != nil {
 			return err
@@ -341,6 +348,7 @@ func (e *env) sampleBuildAndSync() error {
 		e.ref = g
 	}
 	for deadline, n := time.Now().Add(buildSampleTime), 0; n < 3 || time.Now().Before(deadline); n++ {
+		settle()
 		f, d, err := e.syncFollower()
 		if !e.check(err == nil, "follower sync: %v", err) {
 			continue

@@ -112,7 +112,7 @@ var perLayer = func() []metricDef {
 }()
 
 // serveOnly are the per-layer metrics only a serve workload's timed run
-// measures.
+// measures; build-paper has none.
 var serveOnly = []string{
 	"server.result_cache_hit_ratio",
 	"server.plan_cache_hit_ratio",
@@ -135,9 +135,7 @@ var workloads = map[string]struct {
 	unmeasured []string
 }{
 	"build-paper":  {"paper", runBuildPaper, serveOnly},
-	"serve-corpus": {"small", runServeCorpus, nil},
 	"serve-lookup": {"small", runServeLookup, nil},
-	"simulate":     {"small", runSimulate, serveOnly},
 }
 
 type options struct {
@@ -146,7 +144,6 @@ type options struct {
 	seconds  float64
 	trace    bool
 	scale    string // tiny, small or paper; "" means the workload's own (the smoke test sets tiny)
-	root     string // checkout root, where the SQL corpus is read
 }
 
 // metric is one reported value.
@@ -164,10 +161,10 @@ type result struct {
 }
 
 func main() {
-	o := options{root: "."}
+	var o options
 	var trace int
-	flag.StringVar(&o.workload, "workload", "", "workload: build-paper, serve-corpus, serve-lookup or simulate")
-	flag.Int64Var(&o.seed, "seed", 1, "seed for the world, the request schedule and the scenarios")
+	flag.StringVar(&o.workload, "workload", "", "workload: build-paper or serve-lookup")
+	flag.Int64Var(&o.seed, "seed", 1, "seed for the request schedule and the probes' samples")
 	flag.Float64Var(&o.seconds, "seconds", 10, "length of the timed run in seconds")
 	flag.IntVar(&trace, "trace", 0, "1 prints the per-layer metrics instead of the end-to-end ones")
 	flag.Parse()
@@ -282,6 +279,7 @@ func (e *env) provenance() map[string]interface{} {
 		"nproc":       runtime.NumCPU(),
 		"gomaxprocs":  runtime.GOMAXPROCS(0),
 		"scale":       e.o.scale,
+		"world_seed":  e.cfg.Seed,
 		"seed":        e.o.seed,
 		"seconds":     e.o.seconds,
 		"finished_at": time.Now().UTC().Format(time.RFC3339),

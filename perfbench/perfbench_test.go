@@ -89,7 +89,7 @@ func TestSmoke(t *testing.T) {
 		for _, trace := range []bool{false, true} {
 			name, trace := name, trace
 			t.Run(name+map[bool]string{false: "/e2e", true: "/trace"}[trace], func(t *testing.T) {
-				res, info, err := run(options{workload: name, seed: 1, seconds: 0.5, trace: trace, scale: "tiny", root: ".."})
+				res, info, err := run(options{workload: name, seed: 1, seconds: 0.5, trace: trace, scale: "tiny"})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,27 +8,19 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"igdb/internal/paths"
 	"igdb/internal/reldb"
-	"igdb/internal/render"
 )
 
 // serveClients is the number of closed-loop client connections: analysis
 // scripts and the demo UI each wait for a reply before the next request.
 const serveClients = 2
-
-// corpusDir holds the harvested SQL corpus (go-fuzz seed files), relative
-// to the checkout root.
-var corpusDir = filepath.Join("internal", "reldb", "testdata", "fuzz", "FuzzParseStatement")
 
 // Statements of the serve-lookup mix. Each request carries its own literal.
 const (
@@ -50,8 +42,10 @@ const (
 )
 
 // countryLimits multiply serve-lookup's country join into enough distinct
-// statements that the 256-entry caches cannot hold the mix.
-var countryLimits = []int{5, 10, 15, 20, 25, 30, 35, 40}
+// statements that the 256-entry caches cannot hold the mix. Each join costs
+// tens of ms, so every further LIMIT adds seconds to the set-up that
+// validates them.
+var countryLimits = []int{10, 20, 30, 40}
 
 // request is one distinct request of a serve mix. check validates a
 // response against the same question answered directly by the reference
@@ -70,40 +64,12 @@ func (r *request) newHTTP(base string) (*http.Request, error) {
 	return http.NewRequest(r.method, base+r.path, body)
 }
 
-// mix is a weighted set of request classes.
-type mix struct {
-	weights []int
-	reqs    [][]*request
-}
-
-func (m *mix) add(weight int, reqs []*request) {
-	m.weights = append(m.weights, weight)
-	m.reqs = append(m.reqs, reqs)
-}
-
-// runServeCorpus is the serve-corpus workload: the igdb loadgen mix of
-// sql=8, export=1, path=1 over the harvested SQL corpus, every GeoJSON
-// layer, and /path over std_paths endpoints. Its working set fits the
-// result cache, so the time goes to HTTP, cache lookup and encoding.
-func runServeCorpus(e *env) error {
-	return e.runServe(corpusMix, func(hit float64) {
-		e.selfCheck(hit >= 0.9, "serve-corpus result-cache hit ratio %.3f < 0.9", hit)
-	})
-}
-
 // runServeLookup is the serve-lookup workload: per-AS questions with a
-// literal in every request, over a key space about ten times the caches,
-// so nearly every request parses, plans and executes.
+// literal in every request, over a key space many times the caches, so
+// nearly every request parses, plans and executes. Set-up validates every
+// distinct request once (which also warms the caches); closed-loop clients
+// then drive the mix for the run's length.
 func runServeLookup(e *env) error {
-	return e.runServe(lookupMix, func(hit float64) {
-		e.selfCheck(hit <= 0.1, "serve-lookup result-cache hit ratio %.3f > 0.1", hit)
-	})
-}
-
-// runServe sets up a serve workload, validates every distinct request once
-// (which also warms the caches), then drives the mix from closed-loop
-// clients for the run's length.
-func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64)) error {
 	if err := e.setUp(3, nil); err != nil {
 		return err
 	}
@@ -113,7 +79,7 @@ func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64))
 	if err := e.sampleBuildAndSync(); err != nil {
 		return err
 	}
-	m, err := makeMix(e)
+	m, err := lookupMix(e)
 	if err != nil {
 		return err
 	}
@@ -145,7 +111,8 @@ func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64))
 	}
 	ratio("server.result_cache_hit_ratio", "igdb_result_cache_hits_total", "igdb_result_cache_misses_total")
 	ratio("server.plan_cache_hit_ratio", "igdb_plan_cache_hits_total", "igdb_plan_cache_misses_total")
-	hitCheck(e.metrics["server.result_cache_hit_ratio"])
+	hit := e.metrics["server.result_cache_hit_ratio"]
+	e.selfCheck(hit <= 0.1, "serve-lookup result-cache hit ratio %.3f > 0.1", hit)
 	e.metrics["ops_per_s"] = float64(len(lat)) / elapsed.Seconds()
 	e.metrics["p50_ms"] = windowedMedian(at, lat, time.Second)
 	e.metrics["p99_ms"] = percentile(lat, 0.99)
@@ -167,11 +134,8 @@ func (e *env) runServe(makeMix func(*env) (*mix, error), hitCheck func(float64))
 
 // validate issues every distinct request of the mix once and checks each
 // response against the reference build.
-func (e *env) validate(m *mix) {
-	var all []*request
-	for _, rs := range m.reqs {
-		all = append(all, rs...)
-	}
+func (e *env) validate(mix []*request) {
+	all := slices.Clone(mix)
 	// A seeded order leaves a random slice of the mix in the caches, not
 	// the last class validated.
 	rand.New(rand.NewSource(e.o.seed)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
@@ -221,11 +185,7 @@ func do(client *http.Client, base string, r *request) (int, []byte, error) {
 // It returns every client-observed latency in ms, when each request
 // completed (as an offset from the start), and the run's wall time. A
 // transport error or a non-2xx status fails the request.
-func (e *env) closedLoop(m *mix, dur time.Duration) ([]float64, []time.Duration, time.Duration) {
-	total := 0
-	for _, w := range m.weights {
-		total += w
-	}
+func (e *env) closedLoop(mix []*request, dur time.Duration) ([]float64, []time.Duration, time.Duration) {
 	out := make([][]float64, serveClients)
 	ends := make([][]time.Duration, serveClients)
 	fails := make([]int, serveClients)
@@ -240,13 +200,7 @@ func (e *env) closedLoop(m *mix, dur time.Duration) ([]float64, []time.Duration,
 			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
 			defer client.CloseIdleConnections()
 			for time.Now().Before(deadline) {
-				pick := rng.Intn(total)
-				ci := 0
-				for pick >= m.weights[ci] {
-					pick -= m.weights[ci]
-					ci++
-				}
-				r := m.reqs[ci][rng.Intn(len(m.reqs[ci]))]
+				r := mix[rng.Intn(len(mix))]
 				t0 := time.Now()
 				req, err := r.newHTTP(e.ts.URL)
 				var resp *http.Response
@@ -356,149 +310,6 @@ func (e *env) sqlRequest(sql string) *request {
 	return r
 }
 
-// readCorpus returns the distinct statements of the harvested SQL corpus.
-func readCorpus(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("reading the SQL corpus: %w", err)
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, ent := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			return nil, err
-		}
-		lines := strings.Split(string(data), "\n")
-		if strings.TrimSpace(lines[0]) != "go test fuzz v1" {
-			continue
-		}
-		for _, line := range lines[1:] {
-			line = strings.TrimSpace(line)
-			if !strings.HasPrefix(line, "string(") || !strings.HasSuffix(line, ")") {
-				continue
-			}
-			q, err := strconv.Unquote(line[len("string(") : len(line)-1])
-			if err == nil && !seen[q] {
-				seen[q] = true
-				out = append(out, q)
-			}
-		}
-	}
-	return out, nil
-}
-
-// corpusMix builds serve-corpus: every read statement of the corpus, every
-// exportable layer, and /path between std_paths endpoints.
-func corpusMix(e *env) (*mix, error) {
-	queries, err := readCorpus(filepath.Join(e.o.root, corpusDir))
-	if err != nil {
-		return nil, err
-	}
-	var sqlReqs []*request
-	for _, q := range queries {
-		// DDL and DML are not reads: POST /sql refuses them by design.
-		if _, err := e.ref.Rel.Prepare(q); err == nil {
-			sqlReqs = append(sqlReqs, e.sqlRequest(q))
-		}
-	}
-	if len(sqlReqs) == 0 {
-		return nil, fmt.Errorf("no read statement in %s", corpusDir)
-	}
-
-	var exportReqs []*request
-	for _, layer := range render.Layers() {
-		layer := layer
-		exportReqs = append(exportReqs, &request{method: http.MethodGet, path: "/export/" + layer,
-			check: func(status int, body []byte) error {
-				want, err := render.WriteLayerGeoJSON(io.Discard, e.ref.Rel, layer)
-				if err != nil {
-					return fmt.Errorf("reference: %v", err)
-				}
-				if status != http.StatusOK {
-					return fmt.Errorf("status %d", status)
-				}
-				var got struct {
-					Features []json.RawMessage `json:"features"`
-				}
-				if err := json.Unmarshal(body, &got); err != nil {
-					return err
-				}
-				if len(got.Features) != want {
-					return fmt.Errorf("%d features, render gives %d", len(got.Features), want)
-				}
-				return nil
-			}})
-	}
-
-	pathReqs, err := e.pathRequests(64)
-	if err != nil {
-		return nil, err
-	}
-	m := &mix{}
-	m.add(8, sqlReqs)
-	m.add(1, exportReqs)
-	m.add(1, pathReqs)
-	return m, nil
-}
-
-// pathRequests picks up to n std_paths endpoint pairs, by seed, that the
-// reference build can route, as GET /path requests whose reply must name
-// the same via-cities.
-func (e *env) pathRequests(n int) ([]*request, error) {
-	pipe, err := paths.NewPipeline(e.ref, e.store)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := e.ref.Rel.Query(`SELECT from_metro, from_country, to_metro, to_country FROM std_paths`)
-	if err != nil {
-		return nil, err
-	}
-	order := rand.New(rand.NewSource(e.o.seed)).Perm(rows.Len())
-	var out []*request
-	for _, i := range order {
-		if len(out) == n {
-			break
-		}
-		row := rows.Rows[i]
-		text := func(j int) string { s, _ := row[j].AsText(); return s }
-		src, dst := text(0)+"-"+text(1), text(2)+"-"+text(3)
-		a, b := e.ref.MetroIndex(src), e.ref.MetroIndex(dst)
-		if a < 0 || b < 0 {
-			continue
-		}
-		cities, _, ok := e.ref.Paths.ShortestPracticalPath(a, b)
-		if line, _ := pipe.InferredRoute([]int{a, b}); !ok || len(line) < 2 {
-			continue // /path answers 404 here by design
-		}
-		out = append(out, &request{method: http.MethodGet,
-			path: "/path?src=" + url.QueryEscape(src) + "&dst=" + url.QueryEscape(dst),
-			check: func(status int, body []byte) error {
-				if status != http.StatusOK {
-					return fmt.Errorf("status %d", status)
-				}
-				var got struct {
-					Features []struct {
-						Properties struct {
-							Via []string `json:"via"`
-						} `json:"properties"`
-					} `json:"features"`
-				}
-				if err := json.Unmarshal(body, &got); err != nil {
-					return err
-				}
-				if len(got.Features) != 1 || len(got.Features[0].Properties.Via) != len(cities) {
-					return fmt.Errorf("route differs from the reference's %d cities", len(cities))
-				}
-				return nil
-			}})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no routable std_paths pair")
-	}
-	return out, nil
-}
-
 // asnList returns every ASN with a name, ascending.
 func (e *env) asnList() ([]int, error) {
 	rows, err := e.ref.Rel.Query(`SELECT DISTINCT asn FROM asn_name ORDER BY asn`)
@@ -525,12 +336,12 @@ var footprintSQL = []string{
 		 WHERE asn = %d ORDER BY country, metro`,
 }
 
-// lookupMix builds serve-lookup: /footprint/{asn} and two asn_loc point
-// lookups over every named ASN, and the country join over every country
-// and LIMIT. No traffic record weights these analyses against each other,
-// so every distinct request is equally likely: each class weighs as many
-// requests as it holds.
-func lookupMix(e *env) (*mix, error) {
+// lookupMix builds serve-lookup's distinct requests: /footprint/{asn} and
+// two asn_loc point lookups over every named ASN, and the country join over
+// every country and LIMIT. No traffic record weights these analyses against
+// each other, so the clients draw every distinct request with equal
+// chance.
+func lookupMix(e *env) ([]*request, error) {
 	asns, err := e.asnList()
 	if err != nil {
 		return nil, err
@@ -594,9 +405,5 @@ func lookupMix(e *env) (*mix, error) {
 			country = append(country, req)
 		}
 	}
-	m := &mix{}
-	for _, reqs := range [][]*request{foot, point, country} {
-		m.add(len(reqs), reqs)
-	}
-	return m, nil
+	return slices.Concat(foot, point, country), nil
 }
