@@ -165,28 +165,14 @@ func (db *DB) MustExec(sql string) int {
 
 // Query parses and runs a SELECT, or an EXPLAIN [ANALYZE] of any statement
 // (EXPLAIN output is the plan tree rendered as single-column text rows; use
-// Explain for the structured tree).
+// Explain for the structured tree). It is Prepare followed by Stmt.Query.
 func (db *DB) Query(sql string) (*Rows, error) {
-	st, err := ParseStatement(sql)
+	stmt, err := db.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
-	case *SelectStmt:
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.execSelect(s)
-	case *ExplainStmt:
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		plan, err := db.explainLocked(s)
-		if err != nil {
-			return nil, err
-		}
-		return plan.Rows(), nil
-	default:
-		return nil, fmt.Errorf("reldb: Query requires SELECT")
-	}
+	defer stmt.Close()
+	return stmt.Query()
 }
 
 // Explain plans sql (which may but need not carry an EXPLAIN prefix) and

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 )
 
 // schema describes the columns of an intermediate joined row: one entry per
@@ -404,254 +405,336 @@ func (e *evalEnv) evalAggregate(n *Call) (Value, error) {
 
 // ---- SELECT execution ----
 
-// execSelect runs one SELECT plan. Callers (Query, Stmt.Query) hold
-// db.mu for reading.
-func (db *DB) execSelect(s *SelectStmt) (*Rows, error) {
-	return db.execSelectPlan(s, nil)
+// execSelect plans s and runs the plan: the one SELECT execution path
+// behind Query, Stmt.Query and EXPLAIN ANALYZE. It returns the executed
+// tree, whose every operator carries its actuals, and the result. Callers
+// hold db.mu for reading.
+func (db *DB) execSelect(s *SelectStmt) (*PlanNode, *Rows, error) {
+	plan, cols, err := db.planSelect(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Every operator reports actuals, zero if it never ran (the inner scan
+	// of a nested loop over no left rows).
+	plan.Walk(func(n *PlanNode, _ int) { n.Actual = &OpStats{} })
+	rows, err := plan.run(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, &Rows{Columns: cols, Rows: rows}, nil
 }
 
-// execSelectPlan runs one SELECT. With a non-nil plan (EXPLAIN ANALYZE)
-// every pipeline stage is timed and row-counted into the matching plan
-// node; with a nil plan each probe call is a nil check and nothing more,
-// so the plain-query path pays no measurable overhead for the
-// instrumentation.
-func (db *DB) execSelectPlan(s *SelectStmt, pl *selectPlan) (*Rows, error) {
-	sch := newSchema()
-	var rows [][]Value
-	if s.From == nil {
-		// Expression-only select: SELECT 1+1.
-		prb := pl.probeScan()
-		rows = [][]Value{nil}
-		prb.done(0, 1, 1)
-	} else {
-		//lint:ignore guardedby callers (Query, Stmt.Query) hold db.mu
-		base, ok := db.tables[strings.ToLower(s.From.Name)]
-		if !ok {
-			return nil, fmt.Errorf("reldb: no such table %q", s.From.Name)
+// operator is the executable half of a SELECT plan node. exec receives
+// the node's first child's output (nil for a scan) and returns the node's
+// own. Operators never write into a table's rows; a materialized input
+// that is not a table's (project or group output) belongs to its consumer.
+type operator interface {
+	exec(db *DB, n *PlanNode, in [][]Value) ([][]Value, error)
+}
+
+// run executes n's operator over its first child's output and adds the
+// activation to n's actuals. A join runs its right child itself: once for
+// a hash join, once per left row for a nested loop.
+func (n *PlanNode) run(db *DB) ([][]Value, error) {
+	var in [][]Value
+	if len(n.Children) > 0 {
+		var err error
+		if in, err = n.Children[0].run(db); err != nil {
+			return nil, err
 		}
-		prb := pl.probeScan()
-		sch.addTable(s.From.label(), base)
-		rows = make([][]Value, len(base.Rows))
-		copy(rows, base.Rows)
-		prb.done(len(base.Rows), len(rows), 1)
-		for i, j := range s.Joins {
-			//lint:ignore alloclint one name fold per JOIN clause, not per data row
-			joinName := strings.ToLower(j.Table.Name)
-			//lint:ignore guardedby callers (Query, Stmt.Query) hold db.mu
-			jt, ok := db.tables[joinName]
-			if !ok {
-				return nil, fmt.Errorf("reldb: no such table %q", j.Table.Name)
-			}
-			in := len(rows)
-			prb := pl.probeJoin(i)
-			var err error
-			//lint:ignore alloclint join allocates the joined row set once per JOIN clause, not per data row
-			rows, err = db.join(sch, rows, j, jt, pl.joinProbeAt(i))
+	}
+	t0 := time.Now()
+	out, err := n.op.exec(db, n, in)
+	if err != nil {
+		return nil, err
+	}
+	st := n.Actual
+	st.RowsIn += len(in)
+	if len(n.Children) == 0 {
+		st.RowsIn += len(out) // a scan's input is the rows it reads
+	}
+	st.RowsOut += len(out)
+	st.Loops++
+	st.TimeMs += float64(time.Since(t0)) / float64(time.Millisecond)
+	return out, nil
+}
+
+// scanOp reads a table's rows in place, or yields one empty row for a
+// FROM-less SELECT.
+type scanOp struct{ t *Table }
+
+func (op scanOp) exec(*DB, *PlanNode, [][]Value) ([][]Value, error) {
+	if op.t == nil {
+		return [][]Value{nil}, nil
+	}
+	return op.t.Rows, nil
+}
+
+// joinOp combines its left input with the rows of its right scan
+// (Children[1]). With an equi-join key pair it hashes the right side once
+// and probes it per left row; otherwise it re-runs the right scan for
+// every left row.
+type joinOp struct {
+	on, lKey, rKey Expr
+	outer          bool    // LEFT JOIN: keep unmatched left rows, NULL-padded
+	left, sch      *schema // row layout before and after the join
+}
+
+func (op *joinOp) exec(db *DB, n *PlanNode, left [][]Value) ([][]Value, error) {
+	rscan := n.Children[1]
+	leftWidth := len(op.left.names)
+	rightWidth := len(op.sch.names) - leftWidth
+	// perf: allocates intentionally — each combined row it builds is a
+	// retained output row; there is nothing to hoist.
+	combine := func(l []Value, r []Value) []Value {
+		row := make([]Value, 0, leftWidth+rightWidth)
+		row = append(row, l...)
+		row = append(row, r...)
+		return row
+	}
+	nullRight := make([]Value, rightWidth)
+
+	var idx map[string][][]Value
+	var kbuf []byte
+	if op.lKey != nil {
+		right, err := rscan.run(db)
+		if err != nil {
+			return nil, err
+		}
+		// Hash the right side. The build key is evaluated against one
+		// reusable padded row rather than a fresh combine per right row.
+		idx = make(map[string][][]Value, len(right))
+		pad := make([]Value, leftWidth+rightWidth)
+		envR := evalEnv{db: db, schema: op.sch, row: pad}
+		for _, rrow := range right {
+			copy(pad[leftWidth:], rrow)
+			v, err := envR.eval(op.rKey)
 			if err != nil {
 				return nil, err
 			}
-			prb.done(in, len(rows), 1)
-			sch.addTable(j.Table.label(), jt)
+			if v.IsNull() {
+				continue
+			}
+			kbuf = v.appendKey(kbuf[:0])
+			k := string(kbuf) // retained as the bucket key
+			idx[k] = append(idx[k], rrow)
 		}
 	}
 
-	// WHERE.
-	if s.Where != nil {
-		if hasAggregate(s.Where) {
-			return nil, fmt.Errorf("reldb: aggregates are not allowed in WHERE")
+	var out [][]Value
+	envL := evalEnv{db: db, schema: op.left}
+	env := evalEnv{db: db, schema: op.sch}
+	for _, lrow := range left {
+		var candidates [][]Value
+		if op.lKey != nil {
+			envL.row = lrow
+			lv, err := envL.eval(op.lKey)
+			if err != nil {
+				return nil, err
+			}
+			if !lv.IsNull() {
+				// Allocation-free probe: reused key buffer, m[string(buf)].
+				kbuf = lv.appendKey(kbuf[:0])
+				candidates = idx[string(kbuf)]
+			}
+		} else {
+			var err error
+			if candidates, err = rscan.run(db); err != nil {
+				return nil, err
+			}
 		}
-		prb := pl.probeFilter()
-		in := len(rows)
-		filtered := rows[:0:0]
-		env := evalEnv{db: db, schema: sch}
-		for _, row := range rows {
-			env.row = row
-			v, err := env.eval(s.Where)
+		matched := false
+		for _, rrow := range candidates {
+			full := combine(lrow, rrow)
+			env.row = full
+			v, err := env.eval(op.on)
 			if err != nil {
 				return nil, err
 			}
 			if b, ok := v.AsBool(); ok && b {
-				filtered = append(filtered, row)
+				out = append(out, full)
+				matched = true
 			}
 		}
-		rows = filtered
-		prb.done(in, len(rows), 1)
-	}
-
-	// Expand stars into explicit items.
-	items, err := expandStars(s.Items, sch)
-	if err != nil {
-		return nil, err
-	}
-
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items) ||
-		(len(s.OrderBy) > 0 && anyAggregateOrder(s.OrderBy))
-
-	out := &Rows{}
-	for _, it := range items {
-		out.Columns = append(out.Columns, itemName(it))
-	}
-
-	type outRow struct {
-		vals []Value
-		keys []Value // order-by keys
-	}
-	var result []outRow
-	var valsBuf, keysBuf []Value
-	// initEmit pre-sizes the output buffers once the emit count is known:
-	// each emit call then appends into flat backing arrays and slices out
-	// its row, instead of allocating fresh vals/keys slices per output row.
-	initEmit := func(n int) {
-		result = make([]outRow, 0, n)
-		valsBuf = make([]Value, 0, n*len(items))
-		keysBuf = make([]Value, 0, n*len(s.OrderBy))
-	}
-
-	aliasExpr := func(e Expr) Expr {
-		// ORDER BY may reference a select alias or a 1-based ordinal.
-		if c, ok := e.(*ColRef); ok && c.Table == "" {
-			for _, it := range items {
-				if strings.EqualFold(it.Alias, c.Name) {
-					return it.Expr
-				}
-			}
+		if !matched && op.outer {
+			out = append(out, combine(lrow, nullRight))
 		}
-		if l, ok := e.(*Lit); ok {
-			if n, ok2 := l.V.AsInt(); ok2 && n >= 1 && int(n) <= len(items) {
-				return items[n-1].Expr
-			}
-		}
-		return e
 	}
+	return out, nil
+}
 
-	emit := func(env *evalEnv) error {
-		vStart := len(valsBuf)
-		for _, it := range items {
-			v, err := env.eval(it.Expr)
-			if err != nil {
-				return err
-			}
-			valsBuf = append(valsBuf, v)
-		}
-		kStart := len(keysBuf)
-		for _, ob := range s.OrderBy {
-			v, err := env.eval(aliasExpr(ob.Expr))
-			if err != nil {
-				return err
-			}
-			keysBuf = append(keysBuf, v)
-		}
-		result = append(result, outRow{
-			vals: valsBuf[vStart:len(valsBuf):len(valsBuf)],
-			keys: keysBuf[kStart:len(keysBuf):len(keysBuf)],
-		})
-		return nil
+// filterOp keeps the rows the WHERE predicate holds for.
+type filterOp struct {
+	pred Expr
+	sch  *schema
+}
+
+func (op *filterOp) exec(db *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+	if hasAggregate(op.pred) {
+		return nil, fmt.Errorf("reldb: aggregates are not allowed in WHERE")
 	}
-
-	if grouped {
-		prb := pl.probeOutput()
-		in := len(rows)
-		groups, err := groupRows(db, sch, rows, s.GroupBy)
+	filtered := rows[:0:0]
+	env := evalEnv{db: db, schema: op.sch}
+	for _, row := range rows {
+		env.row = row
+		v, err := env.eval(op.pred)
 		if err != nil {
 			return nil, err
 		}
-		initEmit(len(groups))
-		env := evalEnv{db: db, schema: sch}
-		for _, g := range groups {
-			env.row, env.group = g.first, g.rows
-			if s.Having != nil {
-				v, err := env.eval(s.Having)
-				if err != nil {
-					return nil, err
-				}
-				if b, ok := v.AsBool(); !ok || !b {
-					continue
-				}
-			}
-			if err := emit(&env); err != nil {
-				return nil, err
-			}
+		if b, ok := v.AsBool(); ok && b {
+			filtered = append(filtered, row)
 		}
-		prb.done(in, len(result), 1)
-	} else {
-		prb := pl.probeOutput()
-		in := len(rows)
-		initEmit(len(rows))
-		env := evalEnv{db: db, schema: sch}
+	}
+	return filtered, nil
+}
+
+// outputOp evaluates the select list per row (project) or per group
+// (group). Each output row carries the ORDER BY keys after the select
+// items; sortOp orders by them and trims them off.
+type outputOp struct {
+	exprs   []Expr // select items, then ORDER BY keys
+	by      []Expr
+	having  Expr
+	grouped bool
+	sch     *schema
+}
+
+func (op *outputOp) exec(db *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+	env := evalEnv{db: db, schema: op.sch}
+	if !op.grouped {
+		sink := newRowSink(len(rows), len(op.exprs))
 		for _, row := range rows {
 			env.row = row
-			if err := emit(&env); err != nil {
+			if err := sink.emit(&env, op.exprs); err != nil {
 				return nil, err
 			}
 		}
-		prb.done(in, len(result), 1)
+		return sink.rows, nil
 	}
-
-	// DISTINCT.
-	if s.Distinct {
-		prb := pl.probeDistinct()
-		in := len(result)
-		seen := make(map[string]bool, len(result))
-		dedup := result[:0:0]
-		var buf []byte
-		for _, r := range result {
-			buf = buf[:0]
-			for _, v := range r.vals {
-				buf = v.appendKey(buf)
-				buf = append(buf, '\x01')
+	groups, err := groupRows(db, op.sch, rows, op.by)
+	if err != nil {
+		return nil, err
+	}
+	sink := newRowSink(len(groups), len(op.exprs))
+	for _, g := range groups {
+		env.row, env.group = g.first, g.rows
+		if op.having != nil {
+			v, err := env.eval(op.having)
+			if err != nil {
+				return nil, err
 			}
-			// The m[string(buf)] lookup is allocation-free; only newly seen
-			// rows pay for a retained key string.
-			if !seen[string(buf)] {
-				seen[string(buf)] = true
-				dedup = append(dedup, r)
+			if b, ok := v.AsBool(); !ok || !b {
+				continue
 			}
 		}
-		result = dedup
-		prb.done(in, len(result), 1)
+		if err := sink.emit(&env, op.exprs); err != nil {
+			return nil, err
+		}
 	}
+	return sink.rows, nil
+}
 
-	// ORDER BY (stable, so ties preserve input order).
-	if len(s.OrderBy) > 0 {
-		prb := pl.probeSort()
-		sort.SliceStable(result, func(i, j int) bool {
-			for k, ob := range s.OrderBy {
-				c := Compare(result[i].keys[k], result[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if ob.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		prb.done(len(result), len(result), 1)
+// rowSink packs up to n emitted rows into one flat backing array: each row
+// is a full-capacity slice of it, so emitting allocates nothing per row.
+type rowSink struct {
+	rows [][]Value
+	flat []Value
+}
+
+func newRowSink(n, width int) rowSink {
+	return rowSink{rows: make([][]Value, 0, n), flat: make([]Value, 0, n*width)}
+}
+
+func (s *rowSink) emit(env *evalEnv, exprs []Expr) error {
+	start := len(s.flat)
+	for _, e := range exprs {
+		v, err := env.eval(e)
+		if err != nil {
+			return err
+		}
+		s.flat = append(s.flat, v)
 	}
+	s.rows = append(s.rows, s.flat[start:len(s.flat):len(s.flat)])
+	return nil
+}
 
-	// OFFSET / LIMIT.
-	if s.Limit >= 0 || s.Offset > 0 {
-		prb := pl.probeLimit()
-		in := len(result)
-		if s.Offset > 0 {
-			if s.Offset >= len(result) {
-				result = nil
-			} else {
-				result = result[s.Offset:]
+// orderKey resolves an ORDER BY expression that names a select alias or a
+// 1-based ordinal to the select item's expression.
+func orderKey(e Expr, items []SelectItem) Expr {
+	if c, ok := e.(*ColRef); ok && c.Table == "" {
+		for _, it := range items {
+			if strings.EqualFold(it.Alias, c.Name) {
+				return it.Expr
 			}
 		}
-		if s.Limit >= 0 && s.Limit < len(result) {
-			result = result[:s.Limit]
+	}
+	if l, ok := e.(*Lit); ok {
+		if n, ok2 := l.V.AsInt(); ok2 && n >= 1 && int(n) <= len(items) {
+			return items[n-1].Expr
 		}
-		prb.done(in, len(result), 1)
 	}
+	return e
+}
 
-	out.Rows = make([][]Value, len(result))
-	for i, r := range result {
-		out.Rows[i] = r.vals
+// distinctOp keeps the first row of each distinct select-item tuple.
+type distinctOp struct{ width int }
+
+func (op distinctOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+	seen := make(map[string]bool, len(rows))
+	dedup := rows[:0:0]
+	var buf []byte
+	for _, r := range rows {
+		buf = buf[:0]
+		for _, v := range r[:op.width] {
+			buf = v.appendKey(buf)
+			buf = append(buf, '\x01')
+		}
+		// The m[string(buf)] lookup is allocation-free; only newly seen
+		// rows pay for a retained key string.
+		if !seen[string(buf)] {
+			seen[string(buf)] = true
+			dedup = append(dedup, r)
+		}
 	}
-	return out, nil
+	return dedup, nil
+}
+
+// sortOp orders rows by the keys outputOp appended after the select items
+// (stable, so ties keep input order), then trims the keys off.
+type sortOp struct {
+	order []OrderItem
+	width int
+}
+
+func (op sortOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		for k, ob := range op.order {
+			c := Compare(rows[i][op.width+k], rows[j][op.width+k])
+			if c == 0 {
+				continue
+			}
+			if ob.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	for i, r := range rows {
+		rows[i] = r[:op.width:op.width]
+	}
+	return rows, nil
+}
+
+// limitOp applies OFFSET, then LIMIT (negative: none).
+type limitOp struct{ limit, offset int }
+
+func (op limitOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+	rows = rows[min(op.offset, len(rows)):]
+	if op.limit >= 0 {
+		rows = rows[:min(op.limit, len(rows))]
+	}
+	return rows, nil
 }
 
 type group struct {
@@ -662,7 +745,10 @@ type group struct {
 func groupRows(db *DB, sch *schema, rows [][]Value, by []Expr) ([]group, error) {
 	if len(by) == 0 {
 		// Single group over everything; present even when empty so COUNT(*)
-		// returns 0.
+		// returns 0. Its rows stay non-nil, since nil marks "not grouped".
+		if rows == nil {
+			rows = [][]Value{}
+		}
 		return []group{{first: nil, rows: rows}}, nil
 	}
 	// Groups are kept in a slice in first-seen order; the map only carries
@@ -755,107 +841,6 @@ func anyAggregateOrder(obs []OrderItem) bool {
 		}
 	}
 	return false
-}
-
-// join combines the current intermediate rows with table jt. When the ON
-// clause contains an equality between a column of the existing schema and a
-// column of the new table, a hash join is used; otherwise a nested loop.
-// jp (nil outside EXPLAIN ANALYZE) records which strategy ran.
-func (db *DB) join(sch *schema, left [][]Value, j JoinClause, jt *Table, jp *joinProbe) ([][]Value, error) {
-	newSch := &schema{
-		labels: append([]string{}, sch.labels...),
-		names:  append([]string{}, sch.names...),
-	}
-	newSch.addTable(j.Table.label(), jt)
-
-	leftWidth := len(sch.names)
-	// perf: allocates intentionally — each combined row it builds is a
-	// retained output row; there is nothing to hoist.
-	combine := func(l []Value, r []Value) []Value {
-		row := make([]Value, 0, leftWidth+len(jt.Cols))
-		row = append(row, l...)
-		row = append(row, r...)
-		return row
-	}
-	nullRight := make([]Value, len(jt.Cols))
-
-	// Try to extract an equi-join pair from the ON expression.
-	lExpr, rExpr := equiJoinPair(j.On, sch, newSch, j.Table.label(), jt)
-	jp.chose(lExpr != nil, len(left), len(jt.Rows))
-	var out [][]Value
-	if lExpr != nil {
-		// Hash the right side. The build key is evaluated against one
-		// reusable padded row rather than a fresh combine per right row.
-		idx := make(map[string][][]Value, len(jt.Rows))
-		pad := make([]Value, leftWidth+len(jt.Cols))
-		envR := evalEnv{db: db, schema: newSch, row: pad}
-		var kbuf []byte
-		for _, rrow := range jt.Rows {
-			copy(pad[leftWidth:], rrow)
-			v, err := envR.eval(rExpr)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			kbuf = v.appendKey(kbuf[:0])
-			k := string(kbuf) // retained as the bucket key
-			idx[k] = append(idx[k], rrow)
-		}
-		envL := evalEnv{db: db, schema: sch}
-		env := evalEnv{db: db, schema: newSch}
-		for _, lrow := range left {
-			envL.row = lrow
-			lv, err := envL.eval(lExpr)
-			if err != nil {
-				return nil, err
-			}
-			matched := false
-			if !lv.IsNull() {
-				// Allocation-free probe: reused key buffer, m[string(buf)].
-				kbuf = lv.appendKey(kbuf[:0])
-				for _, rrow := range idx[string(kbuf)] {
-					full := combine(lrow, rrow)
-					env.row = full
-					v, err := env.eval(j.On)
-					if err != nil {
-						return nil, err
-					}
-					if b, ok := v.AsBool(); ok && b {
-						out = append(out, full)
-						matched = true
-					}
-				}
-			}
-			if !matched && j.Left {
-				out = append(out, combine(lrow, nullRight))
-			}
-		}
-		return out, nil
-	}
-
-	// Nested loop fallback.
-	env := evalEnv{db: db, schema: newSch}
-	for _, lrow := range left {
-		matched := false
-		for _, rrow := range jt.Rows {
-			full := combine(lrow, rrow)
-			env.row = full
-			v, err := env.eval(j.On)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.AsBool(); ok && b {
-				out = append(out, full)
-				matched = true
-			}
-		}
-		if !matched && j.Left {
-			out = append(out, combine(lrow, nullRight))
-		}
-	}
-	return out, nil
 }
 
 // perf: allocates intentionally — ON-clause analysis runs once per JOIN

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Operator names used in plan trees. They double as the machine-readable
@@ -32,9 +31,10 @@ type OpStats struct {
 	TimeMs  float64 `json:"time_ms"`
 }
 
-// PlanNode is one operator in a query plan tree. Plain EXPLAIN produces the
-// static tree (Actual nil); EXPLAIN ANALYZE additionally executes the
-// statement and fills Actual on every operator that ran.
+// PlanNode is one operator in a query plan tree. A SELECT's tree is the
+// one that runs: plain EXPLAIN returns it unexecuted (Actual nil), and
+// every execution fills Actual on each operator, which EXPLAIN ANALYZE
+// returns.
 type PlanNode struct {
 	Op       string      `json:"op"`
 	Table    string      `json:"table,omitempty"`
@@ -43,6 +43,8 @@ type PlanNode struct {
 	EstRows  int         `json:"est_rows,omitempty"`
 	Children []*PlanNode `json:"children,omitempty"`
 	Actual   *OpStats    `json:"actual,omitempty"`
+
+	op operator // nil on the DDL/DML plans EXPLAIN only describes
 }
 
 // Text renders the plan tree as indented lines, root first.
@@ -112,204 +114,73 @@ func (n *PlanNode) walk(fn func(*PlanNode, int), depth int) {
 	}
 }
 
-// selectPlan carries the plan tree for one SELECT plus direct handles to the
-// stage nodes the executor instruments. A nil *selectPlan is the plain-query
-// path: every probe call on it is a nil check and nothing else, which keeps
-// EXPLAIN support free when not asked for.
-type selectPlan struct {
-	root   *PlanNode
-	scan   *PlanNode
-	joins  []*PlanNode
-	rscans []*PlanNode // right-side scan child per join, same order
-	filter *PlanNode
-	output *PlanNode // group or project
-	dedup  *PlanNode
-	sort   *PlanNode
-	limit  *PlanNode
-}
-
-// opProbe measures one operator activation. The zero-value-free nil form is
-// a no-op on every method, so un-instrumented execution pays only a nil
-// comparison per stage.
-type opProbe struct {
-	node *PlanNode
-	t0   time.Time
-}
-
-func newProbe(n *PlanNode) *opProbe {
-	if n == nil {
-		return nil
-	}
-	return &opProbe{node: n, t0: time.Now()}
-}
-
-// Per-stage probe constructors; all are no-ops on a nil plan so the
-// executor can call them unconditionally.
-func (pl *selectPlan) probeScan() *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.scan)
-}
-
-func (pl *selectPlan) probeJoin(i int) *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.joins[i])
-}
-
-func (pl *selectPlan) probeFilter() *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.filter)
-}
-
-func (pl *selectPlan) probeOutput() *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.output)
-}
-
-func (pl *selectPlan) probeDistinct() *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.dedup)
-}
-
-func (pl *selectPlan) probeSort() *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.sort)
-}
-
-func (pl *selectPlan) probeLimit() *opProbe {
-	if pl == nil {
-		return nil
-	}
-	return newProbe(pl.limit)
-}
-
-// done accumulates the activation into the node. Accumulation (rather than
-// assignment) keeps repeated activations of one operator additive.
-func (p *opProbe) done(rowsIn, rowsOut, loops int) {
-	if p == nil {
-		return
-	}
-	st := p.node.Actual
-	if st == nil {
-		st = &OpStats{}
-		p.node.Actual = st
-	}
-	st.RowsIn += rowsIn
-	st.RowsOut += rowsOut
-	st.Loops += loops
-	st.TimeMs += float64(time.Since(p.t0)) / float64(time.Millisecond)
-}
-
-func (pl *selectPlan) joinProbeAt(i int) *joinProbe {
-	if pl == nil {
-		return nil
-	}
-	return &joinProbe{join: pl.joins[i], scan: pl.rscans[i]}
-}
-
-// joinProbe lets the join operator report which strategy it actually chose
-// and how the right-side scan behaved under it.
-type joinProbe struct {
-	join *PlanNode
-	scan *PlanNode
-}
-
-func (jp *joinProbe) chose(hash bool, leftRows, rightRows int) {
-	if jp == nil {
-		return
-	}
-	if hash {
-		jp.join.Op = OpHashJoin
-		// Hash join reads the right side once to build the hash table.
-		jp.scan.Actual = &OpStats{RowsIn: rightRows, RowsOut: rightRows, Loops: 1}
-		return
-	}
-	jp.join.Op = OpLoopJoin
-	jp.join.Index = ""
-	// Nested loop re-scans the right side once per left row.
-	jp.scan.Actual = &OpStats{RowsIn: rightRows, RowsOut: leftRows * rightRows, Loops: leftRows}
-}
-
-// planSelect builds the static plan tree for a SELECT. The caller must hold
-// db.mu (shared is enough); the planner reads table sizes and index state
-// and replays the executor's own join-strategy decision so EXPLAIN never
-// lies about what execution would do.
-func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
-	pl := &selectPlan{}
+// planSelect makes every decision for a SELECT — the tables it reads, the
+// joined row layout, star expansion, grouped or not, and hash versus
+// nested-loop join through equiJoinPair — and returns the operator tree
+// that both EXPLAIN prints and execSelect runs, plus the output column
+// names. The caller must hold db.mu (shared is enough).
+//
+// perf: allocates intentionally — planning builds a fresh tree of a few
+// nodes per statement; the per-row work happens in the operators.
+func (db *DB) planSelect(s *SelectStmt) (*PlanNode, []string, error) {
 	sch := newSchema()
 	var cur *PlanNode
 	if s.From == nil {
-		cur = &PlanNode{Op: OpValues, Detail: "one synthetic row", EstRows: 1}
-		pl.scan = cur
+		cur = &PlanNode{Op: OpValues, Detail: "one synthetic row", EstRows: 1, op: scanOp{}}
 	} else {
-		//lint:ignore guardedby callers hold db.mu
-		base, ok := db.tables[strings.ToLower(s.From.Name)]
-		if !ok {
-			return nil, fmt.Errorf("reldb: no such table %q", s.From.Name)
+		base, err := db.tableLocked(s.From.Name)
+		if err != nil {
+			return nil, nil, err
 		}
 		cur = scanNode(s.From.label(), base)
-		pl.scan = cur
 		sch.addTable(s.From.label(), base)
 		for _, j := range s.Joins {
-			//lint:ignore guardedby callers hold db.mu
-			jt, ok := db.tables[strings.ToLower(j.Table.Name)]
-			if !ok {
-				return nil, fmt.Errorf("reldb: no such table %q", j.Table.Name)
+			jt, err := db.tableLocked(j.Table.Name)
+			if err != nil {
+				return nil, nil, err
 			}
-			newSch := &schema{
+			joined := &schema{
 				labels: append([]string{}, sch.labels...),
 				names:  append([]string{}, sch.names...),
 			}
-			newSch.addTable(j.Table.label(), jt)
-			lExpr, rExpr := equiJoinPair(j.On, sch, newSch, j.Table.label(), jt)
+			joined.addTable(j.Table.label(), jt)
+			op := &joinOp{on: j.On, outer: j.Left, left: sch, sch: joined}
+			op.lKey, op.rKey = equiJoinPair(j.On, sch, joined, j.Table.label(), jt)
 			kind := "inner"
 			if j.Left {
 				kind = "left"
 			}
-			jn := &PlanNode{Detail: kind + " join on " + ExprString(j.On)}
-			if lExpr != nil {
+			jn := &PlanNode{Op: OpLoopJoin, Detail: kind + " join on " + ExprString(j.On), op: op,
+				Children: []*PlanNode{cur, scanNode(j.Table.label(), jt)}}
+			if op.lKey != nil {
 				jn.Op = OpHashJoin
-				jn.Index = "hash(" + ExprString(rExpr) + ")"
-			} else {
-				jn.Op = OpLoopJoin
+				jn.Index = "hash(" + ExprString(op.rKey) + ")"
 			}
-			rscan := scanNode(j.Table.label(), jt)
-			jn.Children = []*PlanNode{cur, rscan}
-			pl.joins = append(pl.joins, jn)
-			pl.rscans = append(pl.rscans, rscan)
-			cur = jn
-			sch = newSch
+			cur, sch = jn, joined
 		}
 	}
 
 	if s.Where != nil {
-		pl.filter = &PlanNode{Op: OpFilter, Detail: ExprString(s.Where), Children: []*PlanNode{cur}}
-		cur = pl.filter
+		cur = &PlanNode{Op: OpFilter, Detail: ExprString(s.Where), Children: []*PlanNode{cur},
+			op: &filterOp{pred: s.Where, sch: sch}}
 	}
 
 	items, err := expandStars(s.Items, sch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items) ||
-		(len(s.OrderBy) > 0 && anyAggregateOrder(s.OrderBy))
-
+	out := &outputOp{by: s.GroupBy, having: s.Having, sch: sch,
+		grouped: len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items) ||
+			(len(s.OrderBy) > 0 && anyAggregateOrder(s.OrderBy))}
 	var names []string
 	for _, it := range items {
 		names = append(names, itemName(it))
+		out.exprs = append(out.exprs, it.Expr)
 	}
-	if grouped {
+	for _, ob := range s.OrderBy {
+		out.exprs = append(out.exprs, orderKey(ob.Expr, items))
+	}
+	if out.grouped {
 		detail := "by: all rows"
 		if len(s.GroupBy) > 0 {
 			detail = "by: " + exprListString(s.GroupBy)
@@ -318,15 +189,13 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 			detail += "; having: " + ExprString(s.Having)
 		}
 		detail += "; emit: " + strings.Join(names, ", ")
-		pl.output = &PlanNode{Op: OpGroup, Detail: detail, Children: []*PlanNode{cur}}
+		cur = &PlanNode{Op: OpGroup, Detail: detail, Children: []*PlanNode{cur}, op: out}
 	} else {
-		pl.output = &PlanNode{Op: OpProject, Detail: strings.Join(names, ", "), Children: []*PlanNode{cur}}
+		cur = &PlanNode{Op: OpProject, Detail: strings.Join(names, ", "), Children: []*PlanNode{cur}, op: out}
 	}
-	cur = pl.output
 
 	if s.Distinct {
-		pl.dedup = &PlanNode{Op: OpDistinct, Children: []*PlanNode{cur}}
-		cur = pl.dedup
+		cur = &PlanNode{Op: OpDistinct, Children: []*PlanNode{cur}, op: distinctOp{width: len(items)}}
 	}
 	if len(s.OrderBy) > 0 {
 		var keys []string
@@ -337,8 +206,8 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 			}
 			keys = append(keys, k)
 		}
-		pl.sort = &PlanNode{Op: OpSort, Detail: "keys: " + strings.Join(keys, ", "), Children: []*PlanNode{cur}}
-		cur = pl.sort
+		cur = &PlanNode{Op: OpSort, Detail: "keys: " + strings.Join(keys, ", "), Children: []*PlanNode{cur},
+			op: sortOp{order: s.OrderBy, width: len(items)}}
 	}
 	if s.Limit >= 0 || s.Offset > 0 {
 		detail := ""
@@ -351,18 +220,27 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 			}
 			detail += fmt.Sprintf("offset %d", s.Offset)
 		}
-		pl.limit = &PlanNode{Op: OpLimit, Detail: detail, Children: []*PlanNode{cur}}
-		cur = pl.limit
+		cur = &PlanNode{Op: OpLimit, Detail: detail, Children: []*PlanNode{cur},
+			op: limitOp{limit: s.Limit, offset: s.Offset}}
 	}
-	pl.root = cur
-	return pl, nil
+	return cur, names, nil
 }
 
-// scanNode describes a full scan of one table, annotated with the hash
-// indexes that exist on it (execution may or may not use them; the join
-// operator reports the transient hash table it builds separately).
+// tableLocked looks up a table by name. The caller must hold db.mu.
+func (db *DB) tableLocked(name string) (*Table, error) {
+	//lint:ignore guardedby callers hold db.mu
+	t, ok := db.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("reldb: no such table %q", name)
+	}
+	return t, nil
+}
+
+// scanNode describes a full scan of one table. It lists the table's hash
+// indexes for reference only: SELECT reads no index today, and a hash join
+// reports the transient hash table it builds on its own node.
 func scanNode(label string, t *Table) *PlanNode {
-	n := &PlanNode{Op: OpScan, Table: t.Name, EstRows: len(t.Rows)}
+	n := &PlanNode{Op: OpScan, Table: t.Name, EstRows: len(t.Rows), op: scanOp{t: t}}
 	if !strings.EqualFold(label, t.Name) {
 		n.Detail = "as " + label
 	}
@@ -377,25 +255,21 @@ func scanNode(label string, t *Table) *PlanNode {
 	return n
 }
 
-// explainLocked plans ex.Stmt and, for EXPLAIN ANALYZE of a SELECT,
-// executes it with per-operator probes attached. Callers hold db.mu for
-// reading — ANALYZE therefore only supports read-only statements.
+// explainLocked plans ex.Stmt and, for EXPLAIN ANALYZE of a SELECT, runs
+// the plan, so the returned tree carries its own actuals. Callers hold
+// db.mu for reading — ANALYZE therefore only supports read-only statements.
 //
-// perf: allocates intentionally — planning builds a fresh plan tree per
-// EXPLAIN; it is the diagnostic path, not the per-row execution path.
+// perf: allocates intentionally — EXPLAIN renders a fresh plan tree per
+// call; it is the diagnostic path, not the per-row execution path.
 func (db *DB) explainLocked(ex *ExplainStmt) (*PlanNode, error) {
 	switch inner := ex.Stmt.(type) {
 	case *SelectStmt:
-		pl, err := db.planSelect(inner)
-		if err != nil {
-			return nil, err
-		}
 		if ex.Analyze {
-			if _, err := db.execSelectPlan(inner, pl); err != nil {
-				return nil, err
-			}
+			plan, _, err := db.execSelect(inner)
+			return plan, err
 		}
-		return pl.root, nil
+		plan, _, err := db.planSelect(inner)
+		return plan, err
 	default:
 		if ex.Analyze {
 			return nil, fmt.Errorf("reldb: EXPLAIN ANALYZE supports only SELECT (got %s)", StatementKind(ex.Stmt))

@@ -101,6 +101,64 @@ func TestExplainAnalyzeActuals(t *testing.T) {
 	if got := byOp["limit"].Actual; got.RowsIn != 2 || got.RowsOut != 1 {
 		t.Errorf("limit in/out = %d/%d, want 2/1", got.RowsIn, got.RowsOut)
 	}
+	// The hash join reads its right side once to build the hash table.
+	if got := rightScan(t, byOp["hash_join"]).Actual; got.Loops != 1 || got.RowsOut != 4 {
+		t.Errorf("hash join right scan loops/out = %d/%d, want 1/4", got.Loops, got.RowsOut)
+	}
+
+	// A nested loop's right-side scan reports what it really did: one loop
+	// per left row, and every row it emitted across those loops — for
+	// inner and LEFT joins alike.
+	loops := []struct {
+		sql             string
+		left, rows, out int // left rows, right-scan rows out, join rows out
+	}{
+		// 4 cities x 4 links; l.src < c.id matches 0+2+3+4 = 9 pairs.
+		{"SELECT c.name, l.km FROM cities c JOIN links l ON l.src < c.id", 4, 16, 9},
+		// LEFT JOIN also keeps ashburn (id 1): no link has src < 1.
+		{"SELECT c.name, l.km FROM cities c LEFT JOIN links l ON l.src < c.id", 4, 16, 10},
+		// Only lyon passes c.pop > 300 with a link dst > its id (two of
+		// them); the other three cities come back NULL-padded.
+		{"SELECT c.name FROM cities c LEFT JOIN links l ON l.dst > c.id AND c.pop > 300", 4, 16, 5},
+	}
+	for _, tc := range loops {
+		plan, err := db.Explain(tc.sql, true)
+		if err != nil {
+			t.Fatalf("Explain(%q): %v", tc.sql, err)
+		}
+		var join *reldb.PlanNode
+		plan.Walk(func(p *reldb.PlanNode, _ int) {
+			if p.Op == reldb.OpLoopJoin {
+				join = p
+			}
+		})
+		if join == nil {
+			t.Fatalf("%q: no nested-loop join in plan:\n%s", tc.sql, strings.Join(plan.Text(), "\n"))
+		}
+		scan := rightScan(t, join).Actual
+		if scan.Loops != tc.left || scan.RowsOut != tc.rows {
+			t.Errorf("%q: right scan loops/out = %d/%d, want %d/%d", tc.sql, scan.Loops, scan.RowsOut, tc.left, tc.rows)
+		}
+		if got := join.Actual; got.RowsIn != tc.left || got.RowsOut != tc.out {
+			t.Errorf("%q: join in/out = %d/%d, want %d/%d", tc.sql, got.RowsIn, got.RowsOut, tc.left, tc.out)
+		}
+		rows, err := db.Query(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Actual.RowsOut != rows.Len() {
+			t.Errorf("%q: root rows_out = %d, Query returned %d", tc.sql, plan.Actual.RowsOut, rows.Len())
+		}
+	}
+}
+
+// rightScan returns a join's right-side scan child.
+func rightScan(t *testing.T, join *reldb.PlanNode) *reldb.PlanNode {
+	t.Helper()
+	if join == nil || len(join.Children) != 2 || join.Children[1].Op != reldb.OpScan {
+		t.Fatalf("join node %+v has no right-side scan", join)
+	}
+	return join.Children[1]
 }
 
 func TestExplainAnalyzeMatchesExecution(t *testing.T) {
@@ -265,7 +323,8 @@ func readCorpusSeeds(t *testing.T) []string {
 
 // TestExplainHarvestedCorpus proves EXPLAIN covers the SQL the codebase
 // actually issues: every harvested corpus statement must EXPLAIN, and every
-// SELECT must EXPLAIN ANALYZE with actuals on each operator.
+// SELECT must EXPLAIN ANALYZE with actuals on each operator and a root
+// rows_out equal to the row count Query returns.
 func TestExplainHarvestedCorpus(t *testing.T) {
 	db := reldb.New()
 	for _, ddl := range core.SchemaDDL {
@@ -304,6 +363,15 @@ func TestExplainHarvestedCorpus(t *testing.T) {
 		})
 		if !ok {
 			t.Errorf("EXPLAIN ANALYZE %q: operators missing actuals", sql)
+			continue
+		}
+		rows, err := db.Query(trimmed)
+		if err != nil {
+			t.Errorf("Query %q: %v", sql, err)
+			continue
+		}
+		if plan.Actual.RowsOut != rows.Len() {
+			t.Errorf("EXPLAIN ANALYZE %q: root rows_out = %d, Query returned %d rows", sql, plan.Actual.RowsOut, rows.Len())
 			continue
 		}
 		analyzed++

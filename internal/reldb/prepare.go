@@ -16,11 +16,12 @@ var ErrStmtClosed = errors.New("reldb: statement is closed")
 var ErrNotSelect = errors.New("reldb: statement is not a SELECT")
 
 // Stmt is a prepared SELECT: the SQL text is lexed and parsed exactly once,
-// then the cached plan can be executed any number of times (concurrently)
+// then the statement can be executed any number of times (concurrently)
 // without re-parsing. Statements are bound to the DB that prepared them.
 //
-// A Stmt sees the table contents current at each Query call, not at Prepare
-// time; it is a cached plan, not a snapshot.
+// Each Query plans the parsed statement against the table contents current
+// at that call and runs the fresh plan tree; a Stmt is a cached parse, not
+// a snapshot.
 type Stmt struct {
 	db      *DB
 	sel     *SelectStmt
@@ -78,10 +79,10 @@ func (s *Stmt) Explain() (*PlanNode, error) {
 	return s.db.explainLocked(s.explain)
 }
 
-// Query executes the prepared plan against the current table contents. The
-// plan is shared and never mutated by execution, so concurrent Query calls
-// on one Stmt are safe. EXPLAIN statements yield the plan tree as
-// single-column text rows.
+// Query executes the prepared statement against the current table
+// contents. The parsed statement is shared and never mutated; each call
+// plans and runs its own tree, so concurrent Query calls on one Stmt are
+// safe. EXPLAIN statements yield the plan tree as single-column text rows.
 //
 // perf: hot path — every SQL request the server takes executes here;
 // alloclint proves the executor pipeline under it allocation-disciplined.
@@ -98,7 +99,8 @@ func (s *Stmt) Query() (*Rows, error) {
 		}
 		return plan.Rows(), nil
 	}
-	return s.db.execSelect(s.sel)
+	_, rows, err := s.db.execSelect(s.sel)
+	return rows, err
 }
 
 // Close releases the prepared plan. Further Query calls return
