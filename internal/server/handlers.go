@@ -205,8 +205,9 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 
 	// Execute off the handler goroutine so a per-request deadline can fire
 	// even though reldb execution is not context-aware. A timed-out query
-	// runs to completion in the background; the limiter slot is held by the
-	// handler, so abandoned queries cannot pile up unboundedly.
+	// runs to completion in the background and keeps holding the request's
+	// limiter slot until it returns, so abandoned queries still count
+	// against MaxConcurrency.
 	type outcome struct {
 		rows *reldb.Rows
 		plan *reldb.PlanNode
@@ -215,7 +216,10 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	done := make(chan outcome, 1)
 	esp := sp.Start("exec")
 	et0 := time.Now()
+	slot := heldSlot(r)
+	slot.hold()
 	go func() {
+		defer slot.release()
 		if isExplain {
 			plan, qerr := stmt.Explain()
 			done <- outcome{plan: plan, err: qerr}
@@ -244,6 +248,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		smpl.exec = time.Since(et0)
 		esp.End()
 		s.metrics.rejected.Add(1)
+		s.metrics.sqlAbandoned.Add(1)
 		qErr = "query exceeded the request deadline"
 		writeError(w, http.StatusGatewayTimeout, "query exceeded the request deadline")
 		return

@@ -54,6 +54,7 @@ type Metrics struct {
 	simErrors        atomic.Uint64 // snapshot simulation batches that failed
 	panics           atomic.Uint64
 	rejected         atomic.Uint64 // limiter/timeout rejections (503/504)
+	sqlAbandoned     atomic.Uint64 // /sql queries left running after a 504
 	slowQueries      atomic.Uint64 // /sql statements over the slow-query threshold
 	inflight         atomic.Int64
 }
@@ -221,6 +222,8 @@ func (m *Metrics) WriteTo(w io.Writer, g snapGauges) {
 	fmt.Fprintf(w, "igdb_panics_recovered_total %d\n", m.panics.Load())
 	help(w, "igdb_requests_rejected_total", "counter", "Requests rejected by the limiter or deadline (503/504).")
 	fmt.Fprintf(w, "igdb_requests_rejected_total %d\n", m.rejected.Load())
+	help(w, "igdb_sql_abandoned_total", "counter", "POST /sql queries that hit the request deadline (504) and ran on, holding their limiter slot, until they returned.")
+	fmt.Fprintf(w, "igdb_sql_abandoned_total %d\n", m.sqlAbandoned.Load())
 	help(w, "igdb_slow_queries_total", "counter", "POST /sql statements over the slow-query threshold.")
 	fmt.Fprintf(w, "igdb_slow_queries_total %d\n", m.slowQueries.Load())
 	help(w, "igdb_requests_inflight", "gauge", "Requests currently executing.")

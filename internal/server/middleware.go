@@ -36,7 +36,37 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 type ctxKey int
 
-const requestIDKey ctxKey = 0
+const (
+	requestIDKey ctxKey = iota
+	slotKey
+)
+
+// limiterSlot is one concurrency-limiter slot. The request holds it, and so
+// does any work the request hands to another goroutine (hold); the slot
+// frees when its last holder releases it, so the limiter counts work that
+// is still running, not handlers that have returned.
+type limiterSlot struct {
+	sem  chan struct{}
+	refs atomic.Int32
+}
+
+// heldSlot returns the request's limiter slot, or nil on an unlimited route.
+func heldSlot(r *http.Request) *limiterSlot {
+	sl, _ := r.Context().Value(slotKey).(*limiterSlot)
+	return sl
+}
+
+func (sl *limiterSlot) hold() {
+	if sl != nil {
+		sl.refs.Add(1)
+	}
+}
+
+func (sl *limiterSlot) release() {
+	if sl != nil && sl.refs.Add(-1) == 0 {
+		<-sl.sem
+	}
+}
 
 // RequestID returns the request's ID ("" when the middleware did not run).
 func RequestID(r *http.Request) string {
@@ -123,7 +153,10 @@ func (s *Server) wrap(route string, limited bool, h http.HandlerFunc) http.Handl
 			}
 			select {
 			case s.sem <- struct{}{}:
-				defer func() { <-s.sem }()
+				sl := &limiterSlot{sem: s.sem}
+				sl.refs.Store(1)
+				defer sl.release()
+				r = r.WithContext(context.WithValue(ctx, slotKey, sl))
 			case <-ctx.Done():
 				s.metrics.rejected.Add(1)
 				writeError(sw, http.StatusServiceUnavailable, "server saturated")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -521,6 +522,48 @@ func TestLimiterSaturation(t *testing.T) {
 	}
 	close(release)
 	<-done
+}
+
+// TestAbandonedQueryHoldsLimiterSlot: a /sql query that outlives its
+// request deadline keeps running in the background, and it keeps the
+// limiter slot until it returns. With one slot, a second request must see
+// a saturated server (503) rather than start executing beside it, the
+// abandoned query must be counted, and once the queries finish every
+// goroutine they started must be gone.
+func TestAbandonedQueryHoldsLimiterSlot(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrency: 1, RequestTimeout: 30 * time.Millisecond})
+	h := s.Handler()
+	if rec, _ := postSQL(t, h, `SELECT COUNT(*) FROM ixps`); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up status = %d: %s", rec.Code, rec.Body.String())
+	}
+	baseline := runtime.NumGoroutine()
+
+	const crossJoin = `SELECT COUNT(*) FROM ixps CROSS JOIN city_points`
+	const rounds = 3
+	for i := 0; i < rounds; i++ {
+		if rec, _ := postSQL(t, h, crossJoin); rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("round %d: cross join status = %d, want 504", i, rec.Code)
+		}
+		if rec, _ := postSQL(t, h, `SELECT COUNT(*) FROM ixps`); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("round %d: request beside an abandoned query got %d, want 503", i, rec.Code)
+		}
+		// The slot frees only when the abandoned query returns.
+		for deadline := time.Now().Add(30 * time.Second); len(s.sem) > 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: limiter slot never released", i)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if got := s.metrics.sqlAbandoned.Load(); got != rounds {
+		t.Errorf("igdb_sql_abandoned_total = %d, want %d", got, rounds)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, baseline %d: abandoned queries leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestLRUCache(t *testing.T) {
