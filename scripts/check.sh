@@ -5,6 +5,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The committed BENCH_*.json hold real measurements; nothing this gate runs
+# may rewrite them (smoke runs write under artifacts/). Checked at the end.
+bench_sums=$(cksum BENCH_*.json)
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt: these files need formatting:" >&2
@@ -21,7 +25,7 @@ go build ./...
 # leaks, unclosed closers, call-graph dead code, snapshot immutability,
 # context discipline, hot-path allocation discipline (alloclint), and dead
 # suppressions. Any finding fails the gate; per-analyzer timings land in
-# artifacts/lint.json and BENCH_lint.json.
+# artifacts/lint.json and artifacts/BENCH_lint.json.
 scripts/lint.sh
 
 go test -race ./...
@@ -57,5 +61,12 @@ scripts/loadgen.sh --smoke
 # stored rows), plus the harness that writes BENCH_simulate.json.
 go test -race -run 'TestRunWorkerCountInvariance|TestStoreSQLQueryable' ./internal/simulate/
 scripts/simulate.sh --smoke
+
+after_sums=$(cksum BENCH_*.json)
+if [ "$after_sums" != "$bench_sums" ]; then
+    printf 'check.sh: the gate rewrote committed BENCH_*.json files\nbefore:\n%s\nafter:\n%s\n' \
+        "$bench_sums" "$after_sums" >&2
+    exit 1
+fi
 
 echo "check.sh: all green"

@@ -9,18 +9,24 @@
 # Usage:
 #   scripts/loadgen.sh            # full run (duration from LOADGEN_DURATION, default 10s)
 #   scripts/loadgen.sh --smoke    # 2s runs; correctness only
+#
+# --smoke merges into artifacts/bench-smoke/BENCH_serve.json (where
+# scripts/bench.sh --smoke writes), never into the committed file.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 duration="${LOADGEN_DURATION:-10s}"
 conc="${LOADGEN_CONCURRENCY:-4}"
+destdir=.
 if [ "${1:-}" = "--smoke" ]; then
     duration=2s
     conc=2
+    destdir=artifacts/bench-smoke
+    mkdir -p "$destdir"
 fi
 
-out=BENCH_serve.json
+out="$destdir/BENCH_serve.json"
 work=$(mktemp -d)
 leader_pid=""
 follower_pid=""

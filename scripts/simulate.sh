@@ -10,16 +10,22 @@
 # Usage:
 #   scripts/simulate.sh           # full run (benchtime from BENCHTIME, default 2s)
 #   scripts/simulate.sh --smoke   # one iteration per benchmark; correctness only
+#
+# --smoke output is meaningless as a measurement, so it goes to
+# artifacts/bench-smoke/ and the committed BENCH_simulate.json is untouched.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-2s}"
+destdir=.
 if [ "${1:-}" = "--smoke" ]; then
     benchtime=1x
+    destdir=artifacts/bench-smoke
+    mkdir -p "$destdir"
 fi
 
-out=BENCH_simulate.json
+out="$destdir/BENCH_simulate.json"
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
