@@ -429,7 +429,7 @@ func (db *DB) execSelect(s *SelectStmt) (*PlanNode, *Rows, error) {
 // own. Operators never write into a table's rows; a materialized input
 // that is not a table's (project or group output) belongs to its consumer.
 type operator interface {
-	exec(db *DB, n *PlanNode, in [][]Value) ([][]Value, error)
+	exec(db *DB, in [][]Value) ([][]Value, error)
 }
 
 // run executes n's operator over its first child's output and adds the
@@ -444,7 +444,7 @@ func (n *PlanNode) run(db *DB) ([][]Value, error) {
 		}
 	}
 	t0 := time.Now()
-	out, err := n.op.exec(db, n, in)
+	out, err := n.op.exec(db, in)
 	if err != nil {
 		return nil, err
 	}
@@ -463,25 +463,24 @@ func (n *PlanNode) run(db *DB) ([][]Value, error) {
 // FROM-less SELECT.
 type scanOp struct{ t *Table }
 
-func (op scanOp) exec(*DB, *PlanNode, [][]Value) ([][]Value, error) {
+func (op scanOp) exec(*DB, [][]Value) ([][]Value, error) {
 	if op.t == nil {
 		return [][]Value{nil}, nil
 	}
 	return op.t.Rows, nil
 }
 
-// joinOp combines its left input with the rows of its right scan
-// (Children[1]). With an equi-join key pair it hashes the right side once
-// and probes it per left row; otherwise it re-runs the right scan for
-// every left row.
+// joinOp combines its left input with the rows of its right scan. With an
+// equi-join key pair it hashes the right side once and probes it per left
+// row; otherwise it re-runs the right scan for every left row.
 type joinOp struct {
 	on, lKey, rKey Expr
-	outer          bool    // LEFT JOIN: keep unmatched left rows, NULL-padded
-	left, sch      *schema // row layout before and after the join
+	outer          bool      // LEFT JOIN: keep unmatched left rows, NULL-padded
+	left, sch      *schema   // row layout before and after the join
+	right          *PlanNode // the right-side scan, the join node's second child
 }
 
-func (op *joinOp) exec(db *DB, n *PlanNode, left [][]Value) ([][]Value, error) {
-	rscan := n.Children[1]
+func (op *joinOp) exec(db *DB, left [][]Value) ([][]Value, error) {
 	leftWidth := len(op.left.names)
 	rightWidth := len(op.sch.names) - leftWidth
 	// perf: allocates intentionally — each combined row it builds is a
@@ -497,7 +496,7 @@ func (op *joinOp) exec(db *DB, n *PlanNode, left [][]Value) ([][]Value, error) {
 	var idx map[string][][]Value
 	var kbuf []byte
 	if op.lKey != nil {
-		right, err := rscan.run(db)
+		right, err := op.right.run(db)
 		if err != nil {
 			return nil, err
 		}
@@ -539,7 +538,7 @@ func (op *joinOp) exec(db *DB, n *PlanNode, left [][]Value) ([][]Value, error) {
 			}
 		} else {
 			var err error
-			if candidates, err = rscan.run(db); err != nil {
+			if candidates, err = op.right.run(db); err != nil {
 				return nil, err
 			}
 		}
@@ -569,7 +568,7 @@ type filterOp struct {
 	sch  *schema
 }
 
-func (op *filterOp) exec(db *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+func (op *filterOp) exec(db *DB, rows [][]Value) ([][]Value, error) {
 	if hasAggregate(op.pred) {
 		return nil, fmt.Errorf("reldb: aggregates are not allowed in WHERE")
 	}
@@ -599,7 +598,7 @@ type outputOp struct {
 	sch     *schema
 }
 
-func (op *outputOp) exec(db *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+func (op *outputOp) exec(db *DB, rows [][]Value) ([][]Value, error) {
 	env := evalEnv{db: db, schema: op.sch}
 	if !op.grouped {
 		sink := newRowSink(len(rows), len(op.exprs))
@@ -679,7 +678,7 @@ func orderKey(e Expr, items []SelectItem) Expr {
 // distinctOp keeps the first row of each distinct select-item tuple.
 type distinctOp struct{ width int }
 
-func (op distinctOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+func (op distinctOp) exec(_ *DB, rows [][]Value) ([][]Value, error) {
 	seen := make(map[string]bool, len(rows))
 	dedup := rows[:0:0]
 	var buf []byte
@@ -706,7 +705,7 @@ type sortOp struct {
 	width int
 }
 
-func (op sortOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+func (op sortOp) exec(_ *DB, rows [][]Value) ([][]Value, error) {
 	sort.SliceStable(rows, func(i, j int) bool {
 		for k, ob := range op.order {
 			c := Compare(rows[i][op.width+k], rows[j][op.width+k])
@@ -729,7 +728,7 @@ func (op sortOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
 // limitOp applies OFFSET, then LIMIT (negative: none).
 type limitOp struct{ limit, offset int }
 
-func (op limitOp) exec(_ *DB, _ *PlanNode, rows [][]Value) ([][]Value, error) {
+func (op limitOp) exec(_ *DB, rows [][]Value) ([][]Value, error) {
 	rows = rows[min(op.offset, len(rows)):]
 	if op.limit >= 0 {
 		rows = rows[:min(op.limit, len(rows))]

@@ -144,14 +144,15 @@ func (db *DB) planSelect(s *SelectStmt) (*PlanNode, []string, error) {
 				names:  append([]string{}, sch.names...),
 			}
 			joined.addTable(j.Table.label(), jt)
-			op := &joinOp{on: j.On, outer: j.Left, left: sch, sch: joined}
+			right := scanNode(j.Table.label(), jt)
+			op := &joinOp{on: j.On, outer: j.Left, left: sch, sch: joined, right: right}
 			op.lKey, op.rKey = equiJoinPair(j.On, sch, joined, j.Table.label(), jt)
 			kind := "inner"
 			if j.Left {
 				kind = "left"
 			}
 			jn := &PlanNode{Op: OpLoopJoin, Detail: kind + " join on " + ExprString(j.On), op: op,
-				Children: []*PlanNode{cur, scanNode(j.Table.label(), jt)}}
+				Children: []*PlanNode{cur, right}}
 			if op.lKey != nil {
 				jn.Op = OpHashJoin
 				jn.Index = "hash(" + ExprString(op.rKey) + ")"
