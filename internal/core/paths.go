@@ -134,7 +134,9 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 
 // inferStandardPaths routes every unique Atlas adjacency along the
 // right-of-way network and stores the result in std_paths. Pairs are
-// grouped by source city so one Dijkstra serves all pairs from that city.
+// grouped by source city and visited in sorted order, so the rows come out
+// in a deterministic order; routesFrom runs one early-exiting Dijkstra per
+// destination.
 func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 	if g.Row == nil {
 		// Degraded build with the right-of-way layer quarantined: no

@@ -260,8 +260,8 @@ func scanNode(label string, t *Table) *PlanNode {
 // the plan, so the returned tree carries its own actuals. Callers hold
 // db.mu for reading — ANALYZE therefore only supports read-only statements.
 //
-// perf: allocates intentionally — EXPLAIN renders a fresh plan tree per
-// call; it is the diagnostic path, not the per-row execution path.
+// perf: allocates intentionally — planning builds a fresh plan tree per
+// EXPLAIN; it is the diagnostic path, not the per-row execution path.
 func (db *DB) explainLocked(ex *ExplainStmt) (*PlanNode, error) {
 	switch inner := ex.Stmt.(type) {
 	case *SelectStmt:
