@@ -1,7 +1,12 @@
 package simulate
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,6 +16,7 @@ import (
 	"igdb/internal/core"
 	"igdb/internal/geo"
 	"igdb/internal/ingest"
+	"igdb/internal/reldb"
 	"igdb/internal/risk"
 	"igdb/internal/worldgen"
 )
@@ -246,6 +252,57 @@ func TestStoredRowsByteIdenticalAcrossBuilds(t *testing.T) {
 	}
 	if dumps[0] == "" {
 		t.Fatal("no rows stored")
+	}
+}
+
+// scenarioGoldenPath pins the what-if rows of a seeded small-world batch
+// (seed 42, 25 scenarios, 64 pairs) and the engine's shared-risk groups, so
+// a change to the routing kernel, the masked View or Yen's search that moves
+// a tie-break shows up here. Regenerate with IGDB_UPDATE_GOLDEN=1 go test
+// ./internal/simulate -run TestScenarioGolden, and only when a behaviour
+// change is intended.
+const scenarioGoldenPath = "testdata/scenario_golden.json"
+
+func TestScenarioGolden(t *testing.T) {
+	g := newDB(t)
+	e := newEngine(t, g, Options{Seed: 42, Pairs: 64})
+	if _, err := e.Store(e.Run(e.Generate(25), 4)); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, name := range []string{"scenario_runs", "scenario_impacts"} {
+		sum := sha256.Sum256(reldb.EncodeTable(g.Rel.Table(name)))
+		got[name] = hex.EncodeToString(sum[:])
+	}
+	h := sha256.New()
+	for _, s := range e.segs {
+		fmt.Fprintf(h, "%s %v\n", s.label, s.edges)
+	}
+	got["srlg_groups"] = hex.EncodeToString(h.Sum(nil))
+
+	if os.Getenv("IGDB_UPDATE_GOLDEN") != "" {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(scenarioGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(scenarioGoldenPath, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(scenarioGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with IGDB_UPDATE_GOLDEN=1)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scenario content hashes %v, golden %v", got, want)
 	}
 }
 
