@@ -9,7 +9,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -71,98 +70,31 @@ func (g *Graph) AddUndirected(u, v int, w float64) {
 // not mutate it.
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
-// item is a priority-queue element.
-type item struct {
-	node int
-	dist float64
-}
-
-type pq []item
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(item)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
 // ShortestPath returns the minimum-weight path from src to dst and its total
-// weight. ok is false when dst is unreachable. The path includes both
-// endpoints; a path from a node to itself is [src] with weight 0.
+// weight. ok is false when dst is unreachable or either node is out of
+// range. The path includes both endpoints; a path from a node to itself is
+// [src] with weight 0.
 func (g *Graph) ShortestPath(src, dst int) (path []int, weight float64, ok bool) {
-	dist, prev := g.dijkstra(src, dst, nil)
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, false
-	}
-	return reconstruct(prev, src, dst), dist[dst], true
+	var s Search
+	s.From(g, src, []int{dst})
+	return s.Path(dst)
 }
 
 // ShortestPathWithHeuristic runs A*: h(n) must be an admissible lower bound
 // on the remaining distance from n to dst (e.g. great-circle distance for a
 // geographic graph).
 func (g *Graph) ShortestPathWithHeuristic(src, dst int, h func(int) float64) (path []int, weight float64, ok bool) {
-	dist, prev := g.dijkstra(src, dst, h)
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, false
-	}
-	return reconstruct(prev, src, dst), dist[dst], true
-}
-
-// dijkstra runs Dijkstra (h == nil) or A* (h != nil) from src, stopping
-// early once dst is settled when dst >= 0.
-func (g *Graph) dijkstra(src, dst int, h func(int) float64) (dist []float64, prev []int) {
-	n := len(g.adj)
-	dist = make([]float64, n)
-	prev = make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	if src < 0 || src >= n {
-		return dist, prev
-	}
-	dist[src] = 0
-	q := &pq{}
-	push := func(node int, d float64) {
-		prio := d
-		if h != nil {
-			prio += h(node)
-		}
-		heap.Push(q, item{node: node, dist: prio})
-	}
-	push(src, 0)
-	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			return dist, prev
-		}
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = u
-				push(e.To, nd)
-			}
-		}
-	}
-	return dist, prev
+	var s Search
+	s.run(g, nil, src, []int{dst}, h)
+	return s.Path(dst)
 }
 
 // AllShortestFrom returns the distance from src to every node (Inf when
 // unreachable).
 func (g *Graph) AllShortestFrom(src int) []float64 {
-	dist, _ := g.dijkstra(src, -1, nil)
-	return dist
+	var s Search
+	s.From(g, src, nil)
+	return s.dist
 }
 
 func reconstruct(prev []int, src, dst int) []int {
@@ -197,24 +129,26 @@ func (g *Graph) KShortest(src, dst, k int) []Path {
 	}
 	result := []Path{{Nodes: first, Weight: w}}
 	var candidates []Path
+	// The spur search masks edges that would recreate already-found paths
+	// sharing the root, and root nodes to keep paths loopless. The mask is
+	// undirected, but every masked edge leaves the spur node, whose reverse
+	// arc enters a node settled at distance 0 and so could never relax.
+	v := NewView(g)
 	for len(result) < k {
 		lastPath := result[len(result)-1].Nodes
 		for i := 0; i < len(lastPath)-1; i++ {
 			spurNode := lastPath[i]
 			rootPath := lastPath[:i+1]
-			// Block edges that would recreate already-found paths sharing
-			// this root, and block root nodes to keep paths loopless.
-			blockedEdges := make(map[[2]int]bool)
+			v.Reset()
 			for _, p := range result {
 				if len(p.Nodes) > i && equalPrefix(p.Nodes, rootPath) {
-					blockedEdges[[2]int{p.Nodes[i], p.Nodes[i+1]}] = true
+					v.DisableEdge(p.Nodes[i], p.Nodes[i+1])
 				}
 			}
-			blockedNodes := make(map[int]bool)
 			for _, n := range rootPath[:len(rootPath)-1] {
-				blockedNodes[n] = true
+				v.DisableNode(n)
 			}
-			spurPath, spurW, ok := g.shortestAvoiding(spurNode, dst, blockedEdges, blockedNodes)
+			spurPath, spurW, ok := v.ShortestPath(spurNode, dst)
 			if !ok {
 				continue
 			}
@@ -247,45 +181,6 @@ func (g *Graph) pathWeight(nodes []int) float64 {
 		w += best
 	}
 	return w
-}
-
-func (g *Graph) shortestAvoiding(src, dst int, blockedEdges map[[2]int]bool, blockedNodes map[int]bool) ([]int, float64, bool) {
-	n := len(g.adj)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, item{node: src, dist: 0})
-	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, e := range g.adj[u] {
-			if blockedNodes[e.To] || blockedEdges[[2]int{u, e.To}] {
-				continue
-			}
-			if nd := dist[u] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = u
-				heap.Push(q, item{node: e.To, dist: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, false
-	}
-	return reconstruct(prev, src, dst), dist[dst], true
 }
 
 func equalPrefix(p, prefix []int) bool {

@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
-
 // View is a masked subgraph of an immutable Graph: individual nodes and
 // undirected edges can be disabled without copying the adjacency list, so
 // thousands of what-if variants of one graph can be evaluated cheaply.
@@ -24,9 +19,8 @@ type View struct {
 	// first Components call (the Graph beneath a View never changes).
 	rev [][]int
 
-	// Dijkstra scratch, reused across calls.
-	done []bool
-	prev []int
+	// search is the kernel's scratch, reused across calls.
+	search Search
 }
 
 // NewView creates a view of g with nothing disabled.
@@ -132,61 +126,15 @@ func (v *View) Components() (labels []int, count int) {
 
 // AllShortestFrom returns the distance from src to every node over the
 // masked graph (Inf when unreachable, including every node when src itself
-// is disabled). The returned slice is freshly allocated per call.
+// is disabled). The slice is the view's scratch: it is valid until the
+// view's next search.
 func (v *View) AllShortestFrom(src int) []float64 {
-	return v.dijkstra(src, -1)
+	v.search.run(v.g, v, src, nil, nil)
+	return v.search.dist
 }
 
 // ShortestPath returns the minimum-weight masked path from src to dst.
 func (v *View) ShortestPath(src, dst int) (path []int, weight float64, ok bool) {
-	dist := v.dijkstra(src, dst)
-	if dst < 0 || dst >= len(dist) || math.IsInf(dist[dst], 1) {
-		return nil, 0, false
-	}
-	return reconstruct(v.prev, src, dst), dist[dst], true
-}
-
-// dijkstra is the masked variant of Graph.dijkstra, reusing the view's
-// scratch buffers (done, prev) across calls.
-func (v *View) dijkstra(src, dst int) []float64 {
-	n := v.g.Len()
-	dist := make([]float64, n)
-	if cap(v.done) < n {
-		v.done = make([]bool, n)
-		v.prev = make([]int, n)
-	}
-	done, prev := v.done[:n], v.prev[:n]
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		done[i] = false
-		prev[i] = -1
-	}
-	if src < 0 || src >= n || v.nodeOff[src] {
-		return dist
-	}
-	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, item{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, e := range v.g.adj[u] {
-			if !v.edgeEnabled(u, e.To) {
-				continue
-			}
-			if nd := dist[u] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = u
-				heap.Push(q, item{node: e.To, dist: nd})
-			}
-		}
-	}
-	return dist
+	v.search.run(v.g, v, src, []int{dst}, nil)
+	return v.search.Path(dst)
 }
