@@ -18,7 +18,7 @@ var (
 )
 
 // testDB builds the small-world database once for all core tests.
-func testDB(t *testing.T) (*worldgen.World, *IGDB) {
+func testDB(t testing.TB) (*worldgen.World, *IGDB) {
 	t.Helper()
 	buildOnce.Do(func() {
 		smallWorld = worldgen.Generate(worldgen.SmallConfig())

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"igdb/internal/geo"
 	"igdb/internal/graph"
@@ -134,9 +137,11 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 
 // inferStandardPaths routes every unique Atlas adjacency along the
 // right-of-way network and stores the result in std_paths. Pairs are
-// grouped by source city and visited in sorted order, so the rows come out
-// in a deterministic order; routesFrom runs one early-exiting Dijkstra per
-// destination.
+// grouped by source city, and each source is one kernel search that routes
+// all its destinations (routesFrom). Sources are routed on GOMAXPROCS
+// workers, which claim them from an atomic index and each fill the row slot
+// of the source they claimed; the slots are concatenated in sorted-source
+// order, so the rows are the same at any worker count.
 func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 	if g.Row == nil {
 		// Degraded build with the right-of-way layer quarantined: no
@@ -161,44 +166,61 @@ func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 	if g.AsOf.IsZero() {
 		asOf = "latest"
 	}
+	slots := make([][]stdPath, len(srcs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var search graph.Search
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(srcs) {
+					return
+				}
+				slots[i] = g.Row.routesFrom(&search, srcs[i], bySrc[srcs[i]])
+			}
+		}()
+	}
+	wg.Wait()
 	var rows [][]reldb.Value
-	for _, src := range srcs {
-		dsts := bySrc[src]
-		paths := g.Row.routesFrom(src, dsts)
-		for i, dst := range dsts {
-			if paths[i].nodes == nil {
-				continue // disconnected (e.g. across an ocean): no land path
-			}
-			geom := g.Row.concat(paths[i].nodes)
-			if len(geom) < 2 {
-				continue
-			}
-			a, b := g.Cities[src], g.Cities[dst]
+	for i, src := range srcs {
+		a := g.Cities[src]
+		for _, p := range slots[i] {
+			b := g.Cities[p.dst]
 			rows = append(rows, []reldb.Value{
 				reldb.Text(a.Name), reldb.Text(a.State), reldb.Text(a.Country),
 				reldb.Text(b.Name), reldb.Text(b.State), reldb.Text(b.Country),
-				reldb.Float(paths[i].km),
-				reldb.Text(wkt.Marshal(wkt.NewLineString(geom))),
-				reldb.Text(asOf),
+				reldb.Float(p.km), reldb.Text(p.wkt), reldb.Text(asOf),
 			})
 		}
 	}
 	return g.Rel.BulkInsert("std_paths", rows)
 }
 
-type routed struct {
-	nodes []int
-	km    float64
+// stdPath is one routed adjacency of a source city: its destination, the
+// route's length in km and its geometry as WKT.
+type stdPath struct {
+	dst int
+	km  float64
+	wkt string
 }
 
-// routesFrom computes routes from src to each destination, one
-// early-exiting Dijkstra per destination.
-func (rn *RowNetwork) routesFrom(src int, dsts []int) []routed {
-	out := make([]routed, len(dsts))
-	for i, dst := range dsts {
-		nodes, km, ok := rn.G.ShortestPath(src, dst)
-		if ok {
-			out[i] = routed{nodes: nodes, km: km}
+// routesFrom routes src to each destination with one kernel search that
+// stops once every destination is settled; each route is the one a search
+// for that destination alone would find. Destinations without a land route
+// (e.g. across an ocean) are left out; the rest keep the order of dsts.
+func (rn *RowNetwork) routesFrom(search *graph.Search, src int, dsts []int) []stdPath {
+	search.From(rn.G, src, dsts)
+	var out []stdPath
+	for _, dst := range dsts {
+		nodes, km, ok := search.Path(dst)
+		if !ok {
+			continue
+		}
+		if geom := rn.concat(nodes); len(geom) >= 2 {
+			out = append(out, stdPath{dst: dst, km: km, wkt: wkt.Marshal(wkt.NewLineString(geom))})
 		}
 	}
 	return out
