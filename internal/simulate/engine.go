@@ -293,27 +293,47 @@ func (e *Engine) buildSRLG() {
 	}
 	sp := e.trace.Start("srlg")
 	defer sp.End()
-	riders := map[[2]int]map[[2]int]bool{} // row segment (city IDs) -> sim edges
+	// Group the path edges by their first city, so one kernel search per
+	// city routes the whole group; each route is the one a search for that
+	// edge alone would find.
 	pn := e.g.Paths
+	byCity := map[int][][2]int{}
+	var cities []int
 	for _, key := range e.edges {
 		cityA, cityB := e.cityOf[key[0]], e.cityOf[key[1]]
 		if !pn.HasEdge(cityA, cityB) {
 			continue // cable edge: not routed over land rights-of-way
 		}
-		route, _, ok := e.g.Row.G.ShortestPath(cityA, cityB)
-		if !ok {
-			continue
+		if byCity[cityA] == nil {
+			cities = append(cities, cityA)
 		}
-		for i := 1; i < len(route); i++ {
-			x, y := route[i-1], route[i]
-			if x > y {
-				x, y = y, x
+		byCity[cityA] = append(byCity[cityA], key)
+	}
+	riders := map[[2]int]map[[2]int]bool{} // row segment (city IDs) -> sim edges
+	var search graph.Search
+	var dsts []int
+	for _, cityA := range cities {
+		dsts = dsts[:0]
+		for _, key := range byCity[cityA] {
+			dsts = append(dsts, e.cityOf[key[1]])
+		}
+		search.From(e.g.Row.G, cityA, dsts)
+		for i, key := range byCity[cityA] {
+			route, _, ok := search.Path(dsts[i])
+			if !ok {
+				continue
 			}
-			seg := [2]int{x, y}
-			if riders[seg] == nil {
-				riders[seg] = map[[2]int]bool{}
+			for j := 1; j < len(route); j++ {
+				x, y := route[j-1], route[j]
+				if x > y {
+					x, y = y, x
+				}
+				seg := [2]int{x, y}
+				if riders[seg] == nil {
+					riders[seg] = map[[2]int]bool{}
+				}
+				riders[seg][key] = true
 			}
-			riders[seg][key] = true
 		}
 	}
 	segKeys := make([][2]int, 0, len(riders))
