@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Edge is a weighted arc to a target node.
@@ -70,21 +71,24 @@ func (g *Graph) AddUndirected(u, v int, w float64) {
 // not mutate it.
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
+// searches pools kernel scratch for one-off routes, so a single route
+// allocates only the path it returns.
+var searches = sync.Pool{New: func() any { return new(Search) }}
+
 // ShortestPath returns the minimum-weight path from src to dst and its total
 // weight. ok is false when dst is unreachable or either node is out of
 // range. The path includes both endpoints; a path from a node to itself is
 // [src] with weight 0.
 func (g *Graph) ShortestPath(src, dst int) (path []int, weight float64, ok bool) {
-	var s Search
-	s.From(g, src, []int{dst})
-	return s.Path(dst)
+	return g.ShortestPathWithHeuristic(src, dst, nil)
 }
 
 // ShortestPathWithHeuristic runs A*: h(n) must be an admissible lower bound
 // on the remaining distance from n to dst (e.g. great-circle distance for a
-// geographic graph).
+// geographic graph). A nil h gives Dijkstra.
 func (g *Graph) ShortestPathWithHeuristic(src, dst int, h func(int) float64) (path []int, weight float64, ok bool) {
-	var s Search
+	s := searches.Get().(*Search)
+	defer searches.Put(s)
 	s.run(g, nil, src, []int{dst}, h)
 	return s.Path(dst)
 }
@@ -216,46 +220,7 @@ func containsPath(ps []Path, p Path) bool {
 
 // Components returns a component label per node (treating edges as
 // undirected) and the number of components.
-func (g *Graph) Components() (labels []int, count int) {
-	n := len(g.adj)
-	// Build reverse adjacency for undirected traversal.
-	rev := make([][]int, n)
-	for u, es := range g.adj {
-		for _, e := range es {
-			rev[e.To] = append(rev[e.To], u)
-		}
-	}
-	labels = make([]int, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var stack []int
-	for s := 0; s < n; s++ {
-		if labels[s] != -1 {
-			continue
-		}
-		labels[s] = count
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.adj[u] {
-				if labels[e.To] == -1 {
-					labels[e.To] = count
-					stack = append(stack, e.To)
-				}
-			}
-			for _, v := range rev[u] {
-				if labels[v] == -1 {
-					labels[v] = count
-					stack = append(stack, v)
-				}
-			}
-		}
-		count++
-	}
-	return labels, count
-}
+func (g *Graph) Components() (labels []int, count int) { return NewView(g).Components() }
 
 // BellmanFord computes single-source shortest distances in O(V·E); used as
 // a test oracle for Dijkstra and available for graphs a caller builds with
