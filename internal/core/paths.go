@@ -139,9 +139,9 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 // right-of-way network and stores the result in std_paths. Pairs are
 // grouped by source city, and each source is one kernel search that routes
 // all its destinations (routesFrom). Sources are routed on GOMAXPROCS
-// workers, which claim them from an atomic index and each fill the row slot
-// of the source they claimed; the slots are concatenated in sorted-source
-// order, so the rows are the same at any worker count.
+// workers, which claim them from an atomic index and fill the slot of each
+// source they claim; the slots become rows in sorted-source order, so the
+// rows are the same at any worker count.
 func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 	if g.Row == nil {
 		// Degraded build with the right-of-way layer quarantined: no
@@ -184,7 +184,7 @@ func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 		}()
 	}
 	wg.Wait()
-	var rows [][]reldb.Value
+	rows := make([][]reldb.Value, 0, len(adj))
 	for i, src := range srcs {
 		a := g.Cities[src]
 		for _, p := range slots[i] {

@@ -2,7 +2,7 @@
 // analyses rely on: Dijkstra shortest paths over right-of-way networks
 // (standard-path inference, §3.1), A* with a geographic heuristic, Yen's
 // k-shortest paths (alternate-corridor analysis), and connected components
-// (map sanity checks).
+// (map sanity checks). Every search runs on one kernel, Search.
 //
 // Nodes are dense integer IDs assigned by the caller; edges are directed
 // with non-negative float64 weights. Undirected graphs add both arcs.

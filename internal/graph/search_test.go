@@ -120,24 +120,6 @@ func TestSearchMatchesPerDestinationOracle(t *testing.T) {
 	}
 }
 
-func TestSearchDistancesMatchBellmanFord(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	var s Search
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.Intn(50)
-		g := tieGraph(r, n, n*2)
-		src := r.Intn(n)
-		s.From(g, src, nil)
-		want := g.BellmanFord(src)
-		for i := range want {
-			_, w, ok := s.Path(i)
-			if ok == math.IsInf(want[i], 1) || (ok && w != want[i]) {
-				t.Fatalf("trial %d node %d: search %v/%v, bellman-ford %v", trial, i, w, ok, want[i])
-			}
-		}
-	}
-}
-
 // The view's masked search must equal the oracle with the same nodes and
 // both arcs of every masked edge blocked.
 func TestViewMatchesOracle(t *testing.T) {
